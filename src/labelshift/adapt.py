@@ -4,7 +4,9 @@ Two small float64 models (softmax regression and a one-hidden-layer tanh
 network) trained by minibatch gradient descent with hand-derived gradients
 and a safeguarded step size: whenever the full-train objective increases at
 an epoch boundary, the epoch is rolled back and the learning rate halves, so
-the recorded loss sequence is non-increasing by construction.
+the recorded loss sequence is non-increasing by construction. The three
+training algorithms share that one loop and differ only in each epoch's data
+and class weights and in an optional extra gradient term per step.
 
 meta_adapt wraps any of the training algorithms with the two corrections:
 class re-balancing of the training data (rs) and post-hoc re-weighting of the
@@ -335,51 +337,69 @@ def _batch_slices(n: int, batch_size: int):
         yield slice(start, min(start + batch_size, n))
 
 
-class _Loop:
-    """Shared epoch machinery so every algorithm runs byte-identical
-    arithmetic for the parts it has in common with plain ERM."""
+def _train(
+    spec: ModelSpec,
+    train: LabeledSet,
+    val: LabeledSet,
+    cfg: TrainConfig,
+    epoch_data: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    step_extra: Callable[[int, int, np.ndarray], np.ndarray | None] | None = None,
+) -> Model:
+    """The safeguarded minibatch loop shared by every training algorithm.
 
-    def __init__(self, spec: ModelSpec, cfg: TrainConfig, val: LabeledSet):
-        if val.d != spec.input_dim:
-            raise DimensionError("validation features disagree with the model spec")
-        self.spec = spec
-        self.cfg = cfg
-        self.val = val
-        base = RngStream(cfg.seed)
-        self.params = init_parameters(spec, base.derive("init"))
-        self.shuffle_gen = base.derive("shuffle").generator()
-        self.lr = cfg.learning_rate
-        self.prev_loss = np.inf
-        self.prev_params = self.params.copy()
-        self.log: list[float] = []
-        self.losses: list[float] = []
-        self.best_acc = -np.inf
-        self.best_params = self.params.copy()
+    epoch_data(epoch, params) returns the epoch's (x, y, class_weights);
+    step_extra(batch_index, step, params), when given, returns a term added to
+    the minibatch gradient, or None to use the gradient unchanged. The
+    safeguard monitors the full-train objective on the epoch's own data.
+    Outside the hooks the arithmetic is that of plain ERM, which keeps the
+    reduction identities bit-exact."""
+    if train.d != spec.input_dim:
+        raise DimensionError("training features disagree with the model spec")
+    if train.labels.max() >= spec.classes:
+        raise InvalidInputError(f"training labels exceed classes={spec.classes}")
+    if val.d != spec.input_dim:
+        raise DimensionError("validation features disagree with the model spec")
 
-    def epoch_order(self, n: int) -> np.ndarray:
-        return self.shuffle_gen.permutation(n)
-
-    def finish_epoch(self, full_loss: float) -> None:
+    base = RngStream(cfg.seed)
+    params = init_parameters(spec, base.derive("init"))
+    shuffle_gen = base.derive("shuffle").generator()
+    lr = cfg.learning_rate
+    prev_params, prev_loss = params, np.inf
+    best_params, best_acc = params, -np.inf
+    log: list[float] = []
+    losses: list[float] = []
+    step = 0
+    for epoch in range(cfg.epochs):
+        x, y, weights = epoch_data(epoch, params)
+        n = x.shape[0]
+        order = shuffle_gen.permutation(n)
+        for i, sl in enumerate(_batch_slices(n, cfg.batch_size)):
+            batch = order[sl]
+            _, grad = loss_and_grad(spec, params, x[batch], y[batch], weights, cfg.l2)
+            extra = None if step_extra is None else step_extra(i, step, params)
+            if extra is not None:
+                grad = grad + extra
+            params = params - lr * grad
+            step += 1
+        full_loss, _ = loss_and_grad(spec, params, x, y, weights, cfg.l2)
         # Safeguard: reject the epoch and halve the step on any increase of
         # the monitored objective, so the recorded sequence never rises.
         if not np.isfinite(full_loss):
             raise DivergedError(f"training loss became {full_loss!r}")
-        if full_loss > self.prev_loss:
-            self.params = self.prev_params.copy()
-            self.lr /= 2.0
+        if full_loss > prev_loss:
+            # The restored parameters were scored at the end of the last epoch.
+            params = prev_params
+            lr /= 2.0
+            acc = log[-1]
         else:
-            self.prev_params = self.params.copy()
-            self.prev_loss = full_loss
-        self.losses.append(self.prev_loss)
-        acc = _accuracy(self.spec, self.params, self.val)
-        self.log.append(acc)
-        if acc > self.best_acc:
-            self.best_acc = acc
-            self.best_params = self.params.copy()
-
-    def result(self) -> Model:
-        params = self.best_params if self.cfg.early_stop_on_source_val else self.params
-        return Model(self.spec, params, tuple(self.log), tuple(self.losses))
+            prev_params, prev_loss = params, full_loss
+            acc = _accuracy(spec, params, val)
+        losses.append(prev_loss)
+        log.append(acc)
+        if acc > best_acc:
+            best_acc, best_params = acc, params
+    final = best_params if cfg.early_stop_on_source_val else params
+    return Model(spec, final, tuple(log), tuple(losses))
 
 
 def train_erm(
@@ -393,27 +413,13 @@ def train_erm(
     cross-entropy. example_weights is a length-k vector of per-class weights
     applied to each example through its label; None and all-ones produce
     bit-identical trajectories."""
-    if train.d != spec.input_dim:
-        raise DimensionError("training features disagree with the model spec")
-    if train.labels.max() >= spec.classes:
-        raise InvalidInputError(f"training labels exceed classes={spec.classes}")
     weights = np.ones(spec.classes) if example_weights is None else np.asarray(example_weights, dtype=np.float64)
     if weights.shape != (spec.classes,):
         raise DimensionError(f"example_weights must have length {spec.classes}")
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise InvalidInputError("example_weights must be finite and nonnegative")
-
-    loop = _Loop(spec, cfg, val)
-    x, y = train.features, train.labels
-    for _ in range(cfg.epochs):
-        order = loop.epoch_order(train.n)
-        for sl in _batch_slices(train.n, cfg.batch_size):
-            batch = order[sl]
-            _, grad = loss_and_grad(spec, loop.params, x[batch], y[batch], weights, cfg.l2)
-            loop.params = loop.params - loop.lr * grad
-        full_loss, _ = loss_and_grad(spec, loop.params, x, y, weights, cfg.l2)
-        loop.finish_epoch(full_loss)
-    return loop.result()
+    data = (train.features, train.labels, weights)
+    return _train(spec, train, val, cfg, lambda epoch, params: data)
 
 
 def pseudolabel_train(
@@ -434,60 +440,47 @@ def pseudolabel_train(
     term is nonstationary. With lambda_max = 0 the trajectory is bit-identical
     to train_erm under the same config.
     """
-    if source_train.d != spec.input_dim:
-        raise DimensionError("training features disagree with the model spec")
-    if source_train.labels.max() >= spec.classes:
-        raise InvalidInputError(f"training labels exceed classes={spec.classes}")
     target_x = _check_features(spec, target_features)
     weights = np.ones(spec.classes)
-
-    loop = _Loop(spec, cfg, source_val)
     base = RngStream(cfg.seed)
     target_gen = base.derive("target_shuffle").generator()
+    target_order = None
+
+    def epoch_data(epoch, params):
+        nonlocal target_order
+        source = source_train
+        tgt_idx = np.arange(target_x.shape[0])
+        if corrections.resample:
+            source = source_train.subset(class_balanced_indices(
+                source_train.labels, source_train.n, base.derive("balance_source", epoch)
+            ))
+            probs_t, _ = _forward(spec, params, target_x)
+            tgt_idx = class_balanced_indices(
+                np.argmax(probs_t, axis=1), target_x.shape[0],
+                base.derive("balance_target", epoch),
+            )
+        target_order = target_gen.permutation(tgt_idx)
+        return source.features, source.labels, weights
 
     steps_per_epoch = int(np.ceil(source_train.n / cfg.batch_size))
     ramp_steps = pl.ramp_fraction * cfg.epochs * steps_per_epoch
-    step = 0
-    for epoch in range(cfg.epochs):
-        if corrections.resample:
-            src_idx = class_balanced_indices(
-                source_train.labels, source_train.n, base.derive("balance_source", epoch)
-            )
-            probs_t, _ = _forward(spec, loop.params, target_x)
-            pseudo_all = np.argmax(probs_t, axis=1)
-            tgt_idx = class_balanced_indices(
-                pseudo_all, target_x.shape[0], base.derive("balance_target", epoch)
-            )
-        else:
-            src_idx = np.arange(source_train.n)
-            tgt_idx = np.arange(target_x.shape[0])
-        epoch_src = source_train.subset(src_idx)
-        x, y = epoch_src.features, epoch_src.labels
 
-        order = loop.epoch_order(epoch_src.n)
-        target_order = target_gen.permutation(tgt_idx)
-        for i, sl in enumerate(_batch_slices(epoch_src.n, cfg.batch_size)):
-            batch = order[sl]
-            _, grad = loss_and_grad(spec, loop.params, x[batch], y[batch], weights, cfg.l2)
-            lam_t = pl.lambda_max * min(1.0, step / ramp_steps) if ramp_steps > 0 else pl.lambda_max
-            if lam_t > 0.0:
-                take = (np.arange(i * cfg.batch_size, i * cfg.batch_size + cfg.batch_size)
-                        % target_order.size)
-                tb = target_x[target_order[take]]
-                probs_tb, _ = _forward(spec, loop.params, tb)
-                confident = probs_tb.max(axis=1) >= pl.tau
-                if confident.any():
-                    pseudo = np.argmax(probs_tb[confident], axis=1)
-                    _, ugrad = loss_and_grad(
-                        spec, loop.params, tb[confident], pseudo, None, 0.0
-                    )
-                    # Mean over the full target batch, not just confident rows.
-                    grad = grad + lam_t * (confident.sum() / tb.shape[0]) * ugrad
-            loop.params = loop.params - loop.lr * grad
-            step += 1
-        full_loss, _ = loss_and_grad(spec, loop.params, x, y, weights, cfg.l2)
-        loop.finish_epoch(full_loss)
-    return loop.result()
+    def step_extra(i, step, params):
+        lam_t = pl.lambda_max * min(1.0, step / ramp_steps) if ramp_steps > 0 else pl.lambda_max
+        if lam_t > 0.0:
+            take = (np.arange(i * cfg.batch_size, i * cfg.batch_size + cfg.batch_size)
+                    % target_order.size)
+            tb = target_x[target_order[take]]
+            probs_tb, _ = _forward(spec, params, tb)
+            confident = probs_tb.max(axis=1) >= pl.tau
+            if confident.any():
+                pseudo = np.argmax(probs_tb[confident], axis=1)
+                _, ugrad = loss_and_grad(spec, params, tb[confident], pseudo, None, 0.0)
+                # Mean over the full target batch, not just confident rows.
+                return lam_t * (confident.sum() / tb.shape[0]) * ugrad
+        return None
+
+    return _train(spec, source_train, source_val, cfg, epoch_data, step_extra)
 
 
 def _default_weight_fn(
@@ -513,36 +506,28 @@ def iw_erm_train(
     epoch from the current model's source-train and target-train predictions
     (moment matching by default). A weight_fn returning all ones makes the
     trajectory bit-identical to train_erm."""
-    if source_train.d != spec.input_dim:
-        raise DimensionError("training features disagree with the model spec")
-    if source_train.labels.max() >= spec.classes:
-        raise InvalidInputError(f"training labels exceed classes={spec.classes}")
     target_x = _check_features(spec, target_features)
     if weight_fn is None:
         weight_fn = _default_weight_fn
-
-    loop = _Loop(spec, cfg, source_val)
     x, y = source_train.features, source_train.labels
     weights = np.ones(spec.classes)
-    for _ in range(cfg.epochs):
+
+    def epoch_data(epoch, params):
+        nonlocal weights
         try:
-            probs_s, _ = _forward(spec, loop.params, x)
-            probs_t, _ = _forward(spec, loop.params, target_x)
+            probs_s, _ = _forward(spec, params, x)
+            probs_t, _ = _forward(spec, params, target_x)
             weights = np.asarray(
                 weight_fn(PredictionMatrix(probs_s), y, PredictionMatrix(probs_t)),
                 dtype=np.float64,
             )
         except LabelShiftError as exc:
+            # stacklevel points past the loop at iw_erm_train's caller.
             warnings.warn(f"weight estimation failed, keeping previous weights: {exc}",
-                          RuntimeWarning, stacklevel=2)
-        order = loop.epoch_order(source_train.n)
-        for sl in _batch_slices(source_train.n, cfg.batch_size):
-            batch = order[sl]
-            _, grad = loss_and_grad(spec, loop.params, x[batch], y[batch], weights, cfg.l2)
-            loop.params = loop.params - loop.lr * grad
-        full_loss, _ = loss_and_grad(spec, loop.params, x, y, weights, cfg.l2)
-        loop.finish_epoch(full_loss)
-    return loop.result()
+                          RuntimeWarning, stacklevel=4)
+        return x, y, weights
+
+    return _train(spec, source_train, source_val, cfg, epoch_data)
 
 
 def meta_adapt(

@@ -398,15 +398,20 @@ def run_cell(cfg: GridConfig, cell: Cell) -> RunRecord:
 
 
 def read_records(path) -> list[RunRecord]:
+    """Parse a results file. An unparseable final line without a trailing
+    newline is the fragment a killed writer leaves and is skipped; any other
+    bad line raises ParseError with its line number."""
     records = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):
+                    break
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             try:
                 records.append(RunRecord.from_json_dict(payload))
@@ -428,9 +433,11 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     """Run every planned cell, appending each record to
     output_dir/results.jsonl as it completes through a single writer.
 
-    With resume=True, cells whose coordinates already appear in the results
-    file are skipped; without it, a nonempty results file is an error so runs
-    never silently mix configurations.
+    With resume=True, cells that already have a successful record are
+    skipped and failed cells run again; a torn final line is cut off before
+    appending. The result holds one record per planned cell, the latest one
+    for a retried cell. Without resume, a nonempty results file is an error so
+    runs never silently mix configurations.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
@@ -444,13 +451,21 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
                 f"{results_path} already contains records; rerun with resume "
                 "or remove the file"
             )
+        # A record counts once its newline is written; drop a torn tail so
+        # the next record cannot fuse with it.
+        with open(results_path, "rb+") as fh:
+            data = fh.read()
+            if not data.endswith(b"\n"):
+                fh.truncate(data.rfind(b"\n") + 1)
         existing = read_records(results_path)
     planned_keys = {c.key() for c in cells}
-    done_keys = {r.key() for r in existing}
+    # A retried cell appends after its error record, so the last one wins.
+    latest = {r.key(): r for r in existing if r.key() in planned_keys}
+    records = [r for r in latest.values() if r.error is None]
+    done_keys = {r.key() for r in records}
     todo = [c for c in cells if c.key() not in done_keys]
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = [r for r in existing if r.key() in planned_keys]
     with open(results_path, "a") as fh:
 
         def emit(record: RunRecord) -> None:

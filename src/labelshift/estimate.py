@@ -2,8 +2,8 @@
 
 Three interchangeable estimators, all black-box in the classifier:
 
-* ``rlls``: regularized least squares on the soft confusion matrix, solved as
-  projected gradient descent over the simplex.
+* ``rlls``: regularized least squares on the soft confusion matrix, with both
+  norms squared, solved as projected gradient descent over the simplex.
 * ``mlls``: maximum-likelihood via an EM fixed point on target predictions.
 * ``baseline``: the mean target prediction, no correction for classifier error.
 
@@ -40,14 +40,12 @@ MLLS_DENOMINATOR_FLOOR = 1e-12
 class RllsConfig:
     """Settings for the least-squares weight estimator.
 
+    The objective is ||C w - mu||^2 + lam * ||w - 1||^2 over feasible w.
     lam=None selects the rate default 1/sqrt(n) from the sample count attached
-    to the confusion matrix (0 if the matrix carries no count). squared_norms
-    picks the smooth least-squares objective; the unsquared subgradient
-    variant sits behind the flag.
+    to the confusion matrix (0 if the matrix carries no count).
     """
 
     lam: float | None = None
-    squared_norms: bool = True
     max_iters: int = 10000
     step_tolerance: float = 1e-10
 
@@ -117,9 +115,8 @@ def mean_prediction(preds: PredictionMatrix) -> LabelMarginal:
     return LabelMarginal(preds.values.mean(axis=0))
 
 
-def baseline_estimate(preds: PredictionMatrix) -> LabelMarginal:
-    """Uncorrected estimate: read the target marginal off the mean prediction."""
-    return mean_prediction(preds)
+# The uncorrected estimate reads the target marginal off the mean prediction.
+baseline_estimate = mean_prediction
 
 
 def _spectral_norm(m: np.ndarray) -> float:
@@ -189,65 +186,36 @@ def rlls_estimate(
     a_mat = matrix[:, active] / ps[active][None, :]
     d_inv = 1.0 / ps[active]
 
-    def objective(q: np.ndarray) -> float:
-        resid = a_mat @ q - mu_vec
-        reg = d_inv * q - 1.0
-        if cfg.squared_norms:
-            return float(resid @ resid + lam * (reg @ reg))
-        return float(np.linalg.norm(resid) + lam * np.linalg.norm(reg))
-
     q = ps[active].copy()
     converged = False
     iterations = 0
-    if cfg.squared_norms:
-        hess = a_mat.T @ a_mat + lam * np.diag(d_inv**2)
-        lipschitz = 2.0 * _spectral_norm(hess) * 1.05
-        if lipschitz == 0.0:
-            diagnostics.append("degenerate problem: zero curvature, returning w = 1")
-            converged = True
-        else:
-            step = 1.0 / lipschitz
-            for iterations in range(1, cfg.max_iters + 1):
-                grad = 2.0 * (a_mat.T @ (a_mat @ q - mu_vec)) + 2.0 * lam * d_inv * (d_inv * q - 1.0)
-                q_next = project_simplex(q - step * grad)
-                moved = float(np.abs(q_next - q).sum())
-                q = q_next
-                if moved < cfg.step_tolerance:
-                    converged = True
-                    break
+    hess = a_mat.T @ a_mat + lam * np.diag(d_inv**2)
+    lipschitz = 2.0 * _spectral_norm(hess) * 1.05
+    if lipschitz == 0.0:
+        diagnostics.append("degenerate problem: zero curvature, returning w = 1")
+        converged = True
     else:
-        # Projected subgradient with diminishing steps; tracks the best iterate.
-        scale = _spectral_norm(a_mat.T @ a_mat) ** 0.5 + lam * float(d_inv.max())
-        step0 = 1.0 / max(scale, 1e-12)
-        best_q, best_obj = q.copy(), objective(q)
+        step = 1.0 / lipschitz
         for iterations in range(1, cfg.max_iters + 1):
-            resid = a_mat @ q - mu_vec
-            rn = float(np.linalg.norm(resid))
-            grad = a_mat.T @ resid / rn if rn > 1e-15 else np.zeros_like(q)
-            reg = d_inv * q - 1.0
-            gn = float(np.linalg.norm(reg))
-            if lam > 0 and gn > 1e-15:
-                grad = grad + lam * d_inv * reg / gn
-            q_next = project_simplex(q - step0 / np.sqrt(iterations) * grad)
+            grad = 2.0 * (a_mat.T @ (a_mat @ q - mu_vec)) + 2.0 * lam * d_inv * (d_inv * q - 1.0)
+            q_next = project_simplex(q - step * grad)
             moved = float(np.abs(q_next - q).sum())
             q = q_next
-            obj = objective(q)
-            if obj < best_obj:
-                best_obj, best_q = obj, q.copy()
             if moved < cfg.step_tolerance:
                 converged = True
                 break
-        q = best_q
     if not converged:
         diagnostics.append(f"did not converge within {cfg.max_iters} iterations")
 
     w = np.zeros(k)
     w[active] = q / ps[active]
+    resid = a_mat @ q - mu_vec
+    reg = d_inv * q - 1.0
     return RllsResult(
         weights=ImportanceWeights(w, p_s),
         converged=converged,
         iterations=iterations,
-        objective=objective(q),
+        objective=float(resid @ resid + lam * (reg @ reg)),
         ill_conditioned=ill,
         diagnostics=tuple(diagnostics),
     )
@@ -385,7 +353,7 @@ def estimate_marginal(
             converged=res.converged,
             diagnostics=diagnostics,
         )
-    marginal = baseline_estimate(preds_target)
+    marginal = mean_prediction(preds_target)
     return EstimatorOutput(
         estimator="baseline",
         marginal=marginal,

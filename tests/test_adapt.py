@@ -270,11 +270,21 @@ class TestTrainErm:
 
     def test_safeguard_keeps_losses_non_increasing(self, blob_data):
         train, val = blob_data
-        # A deliberately oversized step forces rejected epochs.
-        cfg = TrainConfig(epochs=30, batch_size=32, learning_rate=25.0, l2=1e-4, seed=2)
-        model = train_erm(ModelSpec("logistic", 2, 2), train, val, cfg)
-        losses = np.array(model.loss_log)
-        assert np.all(np.diff(losses) <= 0.0)
+        # Deliberately oversized steps. Only the network's forces rejected epochs.
+        rollbacks = 0
+        for kind, learning_rate in (("logistic", 25.0), ("mlp", 100.0)):
+            cfg = TrainConfig(epochs=30, batch_size=32, learning_rate=learning_rate,
+                              l2=1e-4, seed=2)
+            model = train_erm(ModelSpec(kind, 2, 2), train, val, cfg)
+            losses = np.array(model.loss_log)
+            assert np.all(np.diff(losses) <= 0.0)
+            # A rolled-back epoch restores the previous parameters, so it logs
+            # the previous validation accuracy too.
+            rolled = np.nonzero(np.diff(losses) == 0.0)[0] + 1
+            rollbacks += rolled.size
+            for i in rolled:
+                assert model.training_log[i] == model.training_log[i - 1]
+        assert rollbacks > 0
 
     def test_early_stop_returns_best_validation_epoch(self, blob_data):
         train, val = blob_data

@@ -339,6 +339,9 @@ class TestRecordIO:
         path.write_text(json.dumps(baseline().to_json_dict()) + "\n{broken\n")
         with pytest.raises(ParseError, match="2"):
             read_records(path)
+        # Without its newline the same line is a torn tail and is skipped.
+        path.write_text(json.dumps(baseline().to_json_dict()) + "\n{broken")
+        assert read_records(path) == [baseline()]
 
 
 class TestAggregate:

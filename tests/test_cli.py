@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from labelshift.bench import SUMMARY_HEADER, write_predictions
+from labelshift.bench import SUMMARY_HEADER, read_records, write_predictions
 from labelshift.cli import main
 from labelshift.core import PredictionMatrix
 
@@ -27,6 +27,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def without_wall_time(line):
+    record = json.loads(line)
+    record.pop("wall_time_seconds")
+    return record
 
 
 def one_hot_dump(tmp_path, name, counts, labels=True):
@@ -97,6 +103,38 @@ class TestRun:
         before = results.read_text()
         assert main(["run", "--config", str(config), "--resume"]) == 0
         assert results.read_text() == before
+
+    def test_resume_reruns_a_torn_last_line(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        results = tmp_path / "out" / "results.jsonl"
+        lines = results.read_text().splitlines()
+        results.write_text("\n".join(lines)[:-20])
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--resume"]) == 0
+        assert "4 records, 0 failed" in capsys.readouterr().out
+        resumed = results.read_text().splitlines()
+        assert resumed[:3] == lines[:3]
+        assert len(read_records(results)) == 4
+        assert without_wall_time(resumed[3]) == without_wall_time(lines[3])
+
+    def test_resume_retries_failed_cells(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        results = tmp_path / "out" / "results.jsonl"
+        lines = results.read_text().splitlines()
+        cell = json.loads(lines[1])
+        failed = {name: cell[name] for name in ("v", "task_id", "alpha", "seed",
+                                                "method", "corrections", "estimator")
+                  if name in cell}
+        failed["error"] = "RuntimeError: interrupted"
+        results.write_text("\n".join([lines[0], json.dumps(failed), *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--resume"]) == 0
+        assert "4 records, 0 failed" in capsys.readouterr().out
+        resumed = results.read_text().splitlines()
+        assert len(resumed) == 5
+        assert without_wall_time(resumed[4]) == without_wall_time(lines[1])
 
     def test_partial_failure_exits_two(self, tmp_path, capsys):
         config = write_config(

@@ -116,15 +116,6 @@ class TestRlls:
             np.testing.assert_allclose(res.weights.weights, oracle, atol=1e-3)
             np.testing.assert_allclose(oracle, w_true, atol=1e-9)
 
-    def test_unsquared_variant_agrees_at_lam_zero(self):
-        confusion = np.array([[0.45, 0.05], [0.05, 0.45]])
-        p_s = LabelMarginal(np.array([0.5, 0.5]))
-        res = rlls_estimate(
-            confusion, np.array([0.26, 0.74]), p_s,
-            RllsConfig(lam=0.0, squared_norms=False, max_iters=20000),
-        )
-        np.testing.assert_allclose(res.weights.weights, [0.4, 1.6], atol=5e-3)
-
     def test_zero_column_with_target_mass_is_ill_conditioned(self):
         confusion = np.array([[0.5, 0.0], [0.3, 0.0]])
         # No validation path here: raw matrix with a dead second class.
