@@ -102,8 +102,8 @@ class PseudoLabelConfig:
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise InvalidInputError("tau must lie in (0, 1]")
-        if self.lambda_max < 0:
-            raise InvalidInputError("lambda_max must be nonnegative")
+        if not (np.isfinite(self.lambda_max) and self.lambda_max >= 0):
+            raise InvalidInputError("lambda_max must be finite and nonnegative")
         if not (0.0 <= self.ramp_fraction <= 1.0):
             raise InvalidInputError("ramp_fraction must lie in [0, 1]")
 

@@ -32,6 +32,7 @@ from labelshift.core import (
     DimensionError,
     InvalidInputError,
     LabelMarginal,
+    LabelShiftError,
     PairingError,
     ParseError,
     PredictionMatrix,
@@ -42,6 +43,7 @@ from labelshift.estimate import ESTIMATORS
 from labelshift.shift import (
     ShiftSpec,
     SynthTaskSpec,
+    _read_numeric_rows,
     apply_shift_protocol,
     load_labeled_csv,
     synth_relaxed_task,
@@ -591,23 +593,54 @@ def ingest_predictions(path, normalize: bool = False):
 
     Row sums within 1e-3 of 1 are silently renormalized; larger deviations
     are an error unless normalize is set. All parse failures carry the
-    offending line number.
+    offending line number. The body is read in one numpy pass; a file that
+    pass does not take goes to the line parser, which gives the same values
+    and owns every error message.
     """
     path = Path(path)
+    try:
+        return _ingest_fast(path, normalize)
+    except (OSError, ValueError, LabelShiftError):
+        return _ingest_lines(path, normalize)
+
+
+def _dump_columns(path, header: list[str]) -> tuple[int, bool]:
+    """Check a dump header and return (k, whether it has a y column)."""
+    has_labels = bool(header) and header[-1] == "y"
+    prob_cols = header[:-1] if has_labels else header
+    expected = [f"p{j}" for j in range(len(prob_cols))]
+    if len(prob_cols) < 2 or prob_cols != expected:
+        raise ParseError(
+            f"{path}:1: header must be p0,...,p{{k-1}} with optional trailing y"
+        )
+    return len(prob_cols), has_labels
+
+
+def _ingest_fast(path: Path, normalize: bool):
+    """_ingest_lines on whole columns; raises ValueError where a row would fail."""
+    with open(path, newline="") as fh:
+        k, has_labels = _dump_columns(path, next(csv.reader(fh), []))
+        probs, labels = _read_numeric_rows(fh, k, labeled=has_labels, blank_lines=True)
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise ValueError("non-finite or negative probability")
+    total = np.zeros(len(probs))
+    for j in range(k):  # left to right, as _ingest_lines sums each row
+        total += probs[:, j]
+    if np.any(total <= 0) or (not normalize and np.any(np.abs(total - 1.0) > 1e-3)):
+        raise ValueError("row sum out of range")
+    if has_labels and np.any(labels < 0):
+        raise ValueError("negative label")
+    return PredictionMatrix(probs / total[:, None]), labels
+
+
+def _ingest_lines(path: Path, normalize: bool):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        has_labels = bool(header) and header[-1] == "y"
-        prob_cols = header[:-1] if has_labels else header
-        expected = [f"p{j}" for j in range(len(prob_cols))]
-        if len(prob_cols) < 2 or prob_cols != expected:
-            raise ParseError(
-                f"{path}:1: header must be p0,...,p{{k-1}} with optional trailing y"
-            )
-        k = len(prob_cols)
+        k, has_labels = _dump_columns(path, header)
         rows = []
         labels = []
         for lineno, fields in enumerate(reader, start=2):
@@ -625,7 +658,11 @@ def ingest_predictions(path, normalize: bool = False):
                 raise ParseError(f"{path}:{lineno}: non-finite probability")
             if any(p < 0 for p in probs):
                 raise ParseError(f"{path}:{lineno}: negative probability")
-            total = sum(probs)
+            # An explicit left-to-right sum: from Python 3.12 on, sum() of
+            # floats is compensated and would normalize rows differently.
+            total = 0.0
+            for p in probs:
+                total += p
             if total <= 0:
                 raise ParseError(f"{path}:{lineno}: probabilities sum to zero")
             if abs(total - 1.0) > 1e-3 and not normalize:

@@ -206,6 +206,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    rlls_cfg = RllsConfig() if args.lam is None else RllsConfig(lam=args.lam)
     preds_source, labels = ingest_predictions(args.source, normalize=args.normalize)
     if labels is None:
         raise InvalidInputError(
@@ -215,7 +216,6 @@ def cmd_estimate(args) -> int:
     p_s = None
     if args.p_source is not None:
         p_s = LabelMarginal([float(v) for v in args.p_source.split(",")])
-    rlls_cfg = RllsConfig() if args.lam is None else RllsConfig(lam=args.lam)
     try:
         out = estimate_marginal(args.estimator, preds_source, labels, preds_target,
                                 p_s=p_s, rlls_cfg=rlls_cfg)

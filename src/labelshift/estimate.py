@@ -49,11 +49,25 @@ class RllsConfig:
     max_iters: int = 10000
     step_tolerance: float = 1e-10
 
+    def __post_init__(self):
+        if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidInputError("lam must be finite and nonnegative, or None")
+        if self.max_iters < 1:
+            raise InvalidInputError("max_iters must be at least 1")
+        if not (np.isfinite(self.step_tolerance) and self.step_tolerance > 0):
+            raise InvalidInputError("step_tolerance must be finite and positive")
+
 
 @dataclass(frozen=True)
 class MllsConfig:
     tol: float = 1e-8
     max_iters: int = 10000
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise InvalidInputError("tol must be finite and positive")
+        if self.max_iters < 1:
+            raise InvalidInputError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +183,6 @@ def rlls_estimate(
     lam = cfg.lam
     if lam is None:
         lam = 1.0 / np.sqrt(n_source_val) if n_source_val else 0.0
-    if lam < 0:
-        raise InvalidInputError("lam must be nonnegative")
 
     diagnostics: list[str] = []
     support = ps > 0

@@ -13,8 +13,10 @@ bounds the per-class Wasserstein-infinity distance by exactly epsilon
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from labelshift.core import (
     InvalidInputError,
     LabelMarginal,
     LabeledSet,
+    LabelShiftError,
     ParseError,
     PredictionMatrix,
     RngStream,
@@ -347,21 +350,99 @@ def save_labeled_csv(path, data: LabeledSet) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(y)])
 
 
+def _loadtxt_rejects_float_ints() -> bool:
+    """Whether numpy's loadtxt refuses "3.0" in an integer column, as int() does.
+
+    numpy releases that still cast such a field (with a DeprecationWarning)
+    would accept labels the line parsers reject, so labeled bodies skip the
+    one-pass reader there.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            np.loadtxt(["3.0"], dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+_LOADTXT_STRICT_INTS = _loadtxt_rejects_float_ints()
+
+
+def _read_numeric_rows(fh, width: int, labeled: bool, blank_lines: bool):
+    """Read the rest of an open CSV with one np.loadtxt pass.
+
+    Returns (values, labels): a C-contiguous (n, width) float64 array and,
+    when labeled, the trailing column as int64 (otherwise None). Raises
+    ValueError for any body it may not read exactly as csv.reader with
+    float()/int() would, so that the caller runs its line parser instead.
+    numpy gets the lines the file iterator splits, as csv.reader does, and
+    fails on quoted fields, whitespace-only lines, "#" and literals such as
+    1_0.5. Empty lines are skipped when blank_lines is set, else they defer.
+    """
+    lines = _nonempty_lines(fh, blank_lines)
+    first = next(lines, None)
+    if first is None:
+        # Checked here because loadtxt would warn "input contained no data".
+        raise ValueError("no data rows")
+    if labeled and not _LOADTXT_STRICT_INTS:
+        raise ValueError("this numpy casts float fields into integer columns")
+    fields = [("v", np.float64, (width,))] + ([("y", np.int64)] if labeled else [])
+    table = np.loadtxt(itertools.chain([first], lines), dtype=fields, delimiter=",",
+                       comments=None, ndmin=1)
+    labels = np.ascontiguousarray(table["y"]) if labeled else None
+    return np.ascontiguousarray(table["v"]), labels
+
+
+def _nonempty_lines(fh, blank_lines: bool):
+    for line in fh:
+        if line in ("\n", "\r\n", "\r"):  # csv.reader yields [] for these
+            if not blank_lines:
+                raise ValueError("blank line")
+            continue
+        yield line
+
+
+def _labeled_columns(path, header: list[str]) -> int:
+    """Check a labeled CSV header and return its feature count d."""
+    if len(header) < 2 or header[-1] != "y":
+        raise ParseError(f"{path}: header must be f0,...,f{{d-1}},y")
+    for j, col in enumerate(header[:-1]):
+        m = _HEADER_RE.match(col)
+        if not m or int(m.group(1)) != j:
+            raise ParseError(f"{path}: feature column {j} is named {col!r}, expected f{j}")
+    return len(header) - 1
+
+
 def load_labeled_csv(path) -> LabeledSet:
+    """Read a labeled CSV with header f0,...,f{d-1},y.
+
+    The body is read in one numpy pass; a file that pass does not take goes
+    to the line parser, which gives the same values and reports every error
+    with its line number.
+    """
     path = Path(path)
+    try:
+        return _load_labeled_fast(path)
+    except (OSError, ValueError, LabelShiftError):
+        return _load_labeled_lines(path)
+
+
+def _load_labeled_fast(path: Path) -> LabeledSet:
+    with open(path, newline="") as fh:
+        d = _labeled_columns(path, next(csv.reader(fh), []))
+        features, labels = _read_numeric_rows(fh, d, labeled=True, blank_lines=False)
+    return LabeledSet(features, labels)
+
+
+def _load_labeled_lines(path: Path) -> LabeledSet:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if len(header) < 2 or header[-1] != "y":
-            raise ParseError(f"{path}: header must be f0,...,f{{d-1}},y")
-        for j, col in enumerate(header[:-1]):
-            m = _HEADER_RE.match(col)
-            if not m or int(m.group(1)) != j:
-                raise ParseError(f"{path}: feature column {j} is named {col!r}, expected f{j}")
-        d = len(header) - 1
+        d = _labeled_columns(path, header)
         features, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:

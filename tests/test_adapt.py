@@ -104,6 +104,10 @@ class TestConfigs:
             PseudoLabelConfig(tau=1.2)
         with pytest.raises(InvalidInputError):
             PseudoLabelConfig(lambda_max=-0.1)
+        with pytest.raises(InvalidInputError, match="lambda_max"):
+            PseudoLabelConfig(lambda_max=float("nan"))
+        with pytest.raises(InvalidInputError, match="lambda_max"):
+            PseudoLabelConfig(lambda_max=float("inf"))
         with pytest.raises(InvalidInputError):
             PseudoLabelConfig(ramp_fraction=1.5)
 

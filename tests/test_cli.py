@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: config parsing, exit codes, artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,19 @@ class TestEstimate:
                      "--estimator", "rlls", "--lambda", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert np.allclose(payload["weights"], [0.4, 1.6], atol=1e-3)
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_bad_lambda_rejected_without_warnings(self, tmp_path, capsys, lam):
+        source = one_hot_dump(tmp_path, "source.csv", [5, 5])
+        target = one_hot_dump(tmp_path, "target.csv", [3, 7], labels=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--source", str(source), "--target", str(target),
+                         "--estimator", "rlls", "--lambda", lam])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: lam must be finite and nonnegative, or None\n"
 
     def test_unlabeled_source_rejected(self, tmp_path, capsys):
         source = one_hot_dump(tmp_path, "source.csv", [4, 4], labels=False)

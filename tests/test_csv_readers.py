@@ -1,0 +1,323 @@
+"""The one-pass numpy readers for prediction dumps and labeled CSVs.
+
+ingest_predictions and load_labeled_csv read a file's body with one
+np.loadtxt call and fall back to the line-by-line parsers for anything that
+pass does not take. These tests pin that both paths give byte-identical
+arrays, and that every fallback case gives the line parser's result or its
+ParseError (same message, same line number) without raising a warning.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from labelshift.bench import _ingest_fast, _ingest_lines, ingest_predictions
+from labelshift.core import LabelShiftError, ParseError, PredictionMatrix
+from labelshift.shift import _load_labeled_fast, _load_labeled_lines, load_labeled_csv
+
+FLOAT_FORMATS = {
+    "repr": repr,
+    "g17": "{:.17g}".format,
+    "fixed4": "{:.4f}".format,
+    "sci3": "{:.3e}".format,
+    "padded": " {!r} ".format,
+}
+LABEL_FORMATS = {"plain": str, "plus": "+{}".format, "padded": " {} ".format}
+
+
+def outcome(fn, *args):
+    """What a reader returns as bytes, or the ParseError it raises, with any
+    warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = fn(*args)
+        except ParseError as exc:
+            return ("ParseError", str(exc))
+    if isinstance(got, tuple):
+        matrix, labels = got
+        return (matrix.values.shape, matrix.values.tobytes(),
+                None if labels is None else labels.tobytes())
+    return (got.features.shape, got.features.tobytes(), got.labels.tobytes())
+
+
+def fast_outcome(fn, *args):
+    """The one-pass reader's result, or None where it defers to the line parser."""
+    try:
+        return outcome(fn, *args)
+    except (ValueError, LabelShiftError):
+        return None
+
+
+def render(rows, eol, final_eol):
+    return eol.join(rows) + (eol if final_eol else "")
+
+
+def corrupt(rows, how, rng):
+    """Break one data row so that the line parser rejects the file."""
+    i = int(rng.integers(len(rows)))
+    fields = rows[i].split(",")
+    if how == "negative":
+        fields[0] = "-0.25"
+    elif how == "nan":
+        fields[0] = "nan"
+    elif how == "text":
+        fields[-1] = "spam"
+    elif how == "float_label":
+        fields[-1] = "1.0"
+    elif how == "negative_label":
+        fields[-1] = "-1"
+    elif how == "short":
+        fields = fields[:-1]
+    rows[i] = ",".join(fields)
+
+
+# ---------------------------------------------------------------------------
+# Property: the one-pass reader gives the line parser's arrays, or defers.
+
+
+@given(
+    k=st.sampled_from([2, 3, 50]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    labeled=st.booleans(),
+    normalize=st.booleans(),
+    fmt=st.sampled_from(sorted(FLOAT_FORMATS)),
+    label_fmt=st.sampled_from(sorted(LABEL_FORMATS)),
+    noise=st.sampled_from([0.0, 1e-5, 1e-2]),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_eol=st.booleans(),
+    blank_line=st.booleans(),
+    damage=st.sampled_from([None, None, "negative", "nan", "text", "float_label",
+                            "negative_label", "short"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_dump_reader_matches_line_parser(tmp_path_factory, k, n, seed, labeled, normalize,
+                                         fmt, label_fmt, noise, eol, final_eol,
+                                         blank_line, damage):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.full(k, 0.5), size=n)
+    probs *= 1.0 + noise * rng.uniform(-1.0, 1.0, size=(n, 1))
+    if n > 1:
+        probs[0, 1:] = 0.0
+        probs[0, 0] = 1.0
+    header = [f"p{j}" for j in range(k)] + (["y"] if labeled else [])
+    rows = []
+    for row in probs.tolist():
+        fields = [FLOAT_FORMATS[fmt](v) for v in row]
+        if labeled:
+            fields.append(LABEL_FORMATS[label_fmt](int(rng.integers(k))))
+        rows.append(",".join(fields))
+    if damage is not None:
+        corrupt(rows, damage, rng)
+    if blank_line:
+        rows.insert(int(rng.integers(len(rows) + 1)), "")
+    path = tmp_path_factory.mktemp("dump") / "preds.csv"
+    path.write_text(render([",".join(header)] + rows, eol, final_eol), newline="")
+
+    reference = outcome(_ingest_lines, path, normalize)
+    assert outcome(ingest_predictions, path, normalize) == reference
+    fast = fast_outcome(_ingest_fast, path, normalize)
+    if reference[0] == "ParseError":
+        assert fast is None
+    else:
+        assert fast == reference
+
+
+@given(
+    d=st.integers(1, 20),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    fmt=st.sampled_from(sorted(FLOAT_FORMATS)),
+    label_fmt=st.sampled_from(sorted(LABEL_FORMATS)),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    final_eol=st.booleans(),
+    blank_line=st.booleans(),
+    damage=st.sampled_from([None, None, "nan", "text", "float_label", "negative_label",
+                            "short"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_labeled_reader_matches_line_parser(tmp_path_factory, d, n, seed, fmt, label_fmt,
+                                            scale, eol, final_eol, blank_line, damage):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d)) * scale
+    rows = [
+        ",".join([FLOAT_FORMATS[fmt](v) for v in row]
+                 + [LABEL_FORMATS[label_fmt](int(rng.integers(5)))])
+        for row in features.tolist()
+    ]
+    if damage is not None:
+        corrupt(rows, damage, rng)
+    if blank_line:
+        rows.insert(int(rng.integers(len(rows) + 1)), "")
+    header = ",".join([f"f{j}" for j in range(d)] + ["y"])
+    path = tmp_path_factory.mktemp("pool") / "pool.csv"
+    path.write_text(render([header] + rows, eol, final_eol), newline="")
+
+    reference = outcome(_load_labeled_lines, path)
+    assert outcome(load_labeled_csv, path) == reference
+    fast = fast_outcome(_load_labeled_fast, path)
+    if reference[0] == "ParseError":
+        assert fast is None
+    else:
+        assert fast == reference
+
+
+# ---------------------------------------------------------------------------
+# The cases where numpy's parser and csv.reader/float()/int() part ways.
+
+
+def same_as_lines(public, lines, path, *args):
+    """Assert the public reader agrees with the line parser; return the result."""
+    got = outcome(public, path, *args)
+    assert got == outcome(lines, path, *args)
+    return got
+
+
+def dump(tmp_path, text):
+    path = tmp_path / "preds.csv"
+    path.write_text(text, newline="")
+    return path
+
+
+def pool(tmp_path, text):
+    path = tmp_path / "pool.csv"
+    path.write_text(text, newline="")
+    return path
+
+
+class TestDumpTraps:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        got = same_as_lines(ingest_predictions, _ingest_lines,
+                            dump(tmp_path, "p0,p1\n\n0.25,0.75\n\n\n0.5,0.5\n\n"), False)
+        plain = outcome(ingest_predictions, dump(tmp_path, "p0,p1\n0.25,0.75\n0.5,0.5\n"), False)
+        assert got == plain
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n\r\n"])
+    def test_empty_body_is_no_data_without_a_warning(self, tmp_path, body):
+        path = dump(tmp_path, "p0,p1\n" + body)
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ("ParseError", f"{path}: no data rows")
+
+    def test_whitespace_line_is_a_field_count_error(self, tmp_path):
+        path = dump(tmp_path, "p0,p1\n0.5,0.5\n  \n")
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ("ParseError", f"{path}:3: expected 2 fields, got 1")
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = dump(tmp_path, "p0,p1\n0.5,0.5 # x\n")
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ("ParseError", f"{path}:2: non-numeric probability")
+        path = dump(tmp_path, "p0,p1,y\n0.5,0.5,1 # x\n")
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ("ParseError", f"{path}:2: non-integer label")
+
+    @pytest.mark.parametrize("text", [
+        "p0,p1,y\n0.25,0.75,1\n",
+        "p0,p1,y\n0.25,0.75,1",
+        "p0,p1,y\r\n0.25,0.75,1\r\n",
+        "p0,p1,y\r0.25,0.75,1\r",
+        '"p0","p1","y"\n"0.25",0.75,"1"\n',
+    ])
+    def test_single_row_crlf_and_quoted_fields(self, tmp_path, text):
+        got = same_as_lines(ingest_predictions, _ingest_lines, dump(tmp_path, text), False)
+        expected = PredictionMatrix(np.array([[0.25, 0.75]]))
+        assert got == ((1, 2), expected.values.tobytes(), np.array([1]).tobytes())
+
+    def test_bare_carriage_returns_end_lines(self, tmp_path):
+        path = dump(tmp_path, "p0,p1\r0.25,0.75\r0.5\r")
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ("ParseError", f"{path}:3: expected 2 fields, got 1")
+
+    def test_underscored_literal_reads_as_python_float(self, tmp_path):
+        path = dump(tmp_path, "p0,p1\n1_0.5,0.5\n")
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, True)
+        expected = PredictionMatrix(np.array([[10.5, 0.5]]) / 11.0)
+        assert got == ((1, 2), expected.values.tobytes(), None)
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got[1].startswith(f"{path}:2: probabilities sum to 11.0")
+
+    def test_float_label_is_rejected(self, tmp_path):
+        path = dump(tmp_path, "p0,p1,y\n0.5,0.5,1\n0.5,0.5,3.0\n")
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ("ParseError", f"{path}:3: non-integer label")
+
+    def test_row_totals_sum_left_to_right(self, tmp_path):
+        # Ten 0.1s sum to 0.9999999999999999 left to right but to 1.0 under
+        # the compensated sum() of Python 3.12+.
+        path = dump(tmp_path, ",".join(f"p{j}" for j in range(10)) + "\n"
+                    + ",".join(["0.1"] * 10) + "\n")
+        total = 0.0
+        for _ in range(10):
+            total += 0.1
+        assert total != 1.0
+        expected = PredictionMatrix(np.full((1, 10), 0.1) / total)
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ((1, 10), expected.values.tobytes(), None)
+
+    def test_valid_dump_takes_the_one_pass_reader(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("line parser called")
+
+        monkeypatch.setattr("labelshift.bench._ingest_lines", refuse)
+        matrix, labels = ingest_predictions(dump(tmp_path, "p0,p1,y\n0.25,0.75,1\n"))
+        assert matrix.values.tolist() == [[0.25, 0.75]] and labels.tolist() == [1]
+
+
+class TestLabeledTraps:
+    @pytest.mark.parametrize("text, line", [
+        ("f0,y\n0.5,1\n\n0.25,0\n", 3),
+        ("f0,y\n0.5,1\n\n", 3),
+        ("f0,y\r\n0.5,1\r\n\r\n", 3),
+        ("f0,y\r0.5,1\r\r0.25,0\r", 3),
+        ("f0,y\n\n0.5,1\n", 2),
+    ])
+    def test_blank_line_is_rejected(self, tmp_path, text, line):
+        path = pool(tmp_path, text)
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
+        assert got == ("ParseError", f"{path}:{line}: expected 2 fields, got 0")
+
+    def test_empty_body_is_no_data_without_a_warning(self, tmp_path):
+        path = pool(tmp_path, "f0,y\n")
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
+        assert got == ("ParseError", f"{path}: no data rows")
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = pool(tmp_path, "f0,y\n0.5,1 # x\n")
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
+        assert got == ("ParseError",
+                       f"{path}:2: invalid literal for int() with base 10: '1 # x'")
+
+    @pytest.mark.parametrize("text", [
+        "f0,f1,y\n0.5,-1.25,2\n",
+        "f0,f1,y\n0.5,-1.25,2",
+        "f0,f1,y\r\n0.5,-1.25,2\r\n",
+        "f0,f1,y\r0.5,-1.25,2\r",
+        'f0,"f1",y\n"0.5",-1.25,"2"\n',
+    ])
+    def test_single_row_crlf_and_quoted_fields(self, tmp_path, text):
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines, pool(tmp_path, text))
+        assert got == ((1, 2), np.array([[0.5, -1.25]]).tobytes(), np.array([2]).tobytes())
+
+    def test_underscored_literal_reads_as_python_float(self, tmp_path):
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines,
+                            pool(tmp_path, "f0,y\n1_0.5,1\n"))
+        assert got == ((1, 1), np.array([[10.5]]).tobytes(), np.array([1]).tobytes())
+
+    def test_float_label_is_rejected(self, tmp_path):
+        path = pool(tmp_path, "f0,y\n0.5,3.0\n")
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
+        assert got == ("ParseError",
+                       f"{path}:2: invalid literal for int() with base 10: '3.0'")
+
+    def test_valid_pool_takes_the_one_pass_reader(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("line parser called")
+
+        monkeypatch.setattr("labelshift.shift._load_labeled_lines", refuse)
+        data = load_labeled_csv(pool(tmp_path, "f0,f1,y\n0.5,-1.25,2\n"))
+        assert data.features.tolist() == [[0.5, -1.25]] and data.labels.tolist() == [2]

@@ -133,6 +133,35 @@ class TestRlls:
         np.testing.assert_allclose(res_default.weights.weights, res_explicit.weights.weights)
 
 
+class TestConfigs:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"lam": float("nan")}, "lam"),
+        ({"lam": float("inf")}, "lam"),
+        ({"lam": -0.1}, "lam"),
+        ({"max_iters": 0}, "max_iters"),
+        ({"step_tolerance": 0.0}, "step_tolerance"),
+        ({"step_tolerance": float("nan")}, "step_tolerance"),
+    ])
+    def test_rlls_config_rejects(self, kwargs, field):
+        with pytest.raises(InvalidInputError, match=field):
+            RllsConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"tol": 0.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"max_iters": 0}, "max_iters"),
+    ])
+    def test_mlls_config_rejects(self, kwargs, field):
+        with pytest.raises(InvalidInputError, match=field):
+            MllsConfig(**kwargs)
+
+    def test_valid_configs_construct(self):
+        assert RllsConfig().lam is None
+        assert RllsConfig(lam=0.0, max_iters=1, step_tolerance=1e-3).lam == 0.0
+        assert MllsConfig(tol=1e-3, max_iters=1).tol == 1e-3
+
+
 class TestMlls:
     def test_worked_example_converges_to_vertex(self):
         # Pre-computed grid-search maximizer for this instance is [1, 0].
