@@ -159,7 +159,7 @@ class Model:
         object.__setattr__(self, "loss_log", tuple(float(v) for v in self.loss_log))
 
     def predict(self, features) -> PredictionMatrix:
-        probs, _ = _forward(self.spec, self.parameters, _check_features(self.spec, features))
+        probs = _forward(self.spec, self.parameters, _check_features(self.spec, features))
         return PredictionMatrix(probs)
 
     def predict_labels(self, features) -> np.ndarray:
@@ -205,19 +205,38 @@ def _unpack(spec: ModelSpec, params: np.ndarray):
     )
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1, keepdims=True), reduced down the columns of a contiguous
+    transposed copy: numpy reduces a short last axis one row at a time, which
+    is slow when there are few classes and many rows. Max is exact, so the
+    values are equal."""
+    return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0)[:, None]
+
+
+def _softmax_terms(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """The shared forward pass: the max-shifted logits z, exp(z), the row sums
+    of exp(z) (kept 2-D) and the hidden layer (None for the logistic model)."""
     if spec.kind == "logistic":
         w, b = _unpack(spec, params)
-        logits = x @ w + b
+        z = x @ w
+        z += b
         hidden = None
     else:
         w1, b1, w2, b2 = _unpack(spec, params)
-        hidden = np.tanh(x @ w1 + b1)
-        logits = hidden @ w2 + b2
-    z = logits - logits.max(axis=1, keepdims=True)
+        hidden = x @ w1
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        z = hidden @ w2
+        z += b2
+    z -= _row_max(z)
     expz = np.exp(z)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    return probs, (z, hidden)
+    return z, expz, expz.sum(axis=1, keepdims=True), hidden
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    _, probs, denom, _ = _softmax_terms(spec, params, x)
+    probs /= denom
+    return probs
 
 
 def init_parameters(spec: ModelSpec, stream: RngStream) -> np.ndarray:
@@ -230,6 +249,55 @@ def init_parameters(spec: ModelSpec, stream: RngStream) -> np.ndarray:
     w1 = gen.standard_normal((d, h)) / np.sqrt(d)
     w2 = gen.standard_normal((h, k)) / np.sqrt(h)
     return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
+
+
+def _loss_half(spec: ModelSpec, params: np.ndarray, y: np.ndarray, cw: np.ndarray,
+               l2: float, terms, rows: np.ndarray) -> float:
+    """loss_and_grad's objective from _softmax_terms of the same rows; cw holds
+    each row's weight and rows is arange(n)."""
+    z, _, denom, _ = terms
+    logp = z[rows, y] - np.log(denom[:, 0])
+    data_loss = -float(cw @ logp) / z.shape[0]
+    if spec.kind == "logistic":
+        w, _ = _unpack(spec, params)
+        penalty = 0.5 * l2 * float((w * w).sum())
+    else:
+        w1, _, w2, _ = _unpack(spec, params)
+        penalty = 0.5 * l2 * float((w1 * w1).sum() + (w2 * w2).sum())
+    return data_loss + penalty
+
+
+def _grad_half(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
+               cw: np.ndarray, l2: float, terms, rows: np.ndarray) -> np.ndarray:
+    """loss_and_grad's gradient from _softmax_terms of the same rows (their
+    exp(z) and hidden layer are overwritten); cw holds each row's weight and
+    rows is arange(n)."""
+    _, dlogits, denom, hidden = terms
+    dlogits /= denom
+    dlogits *= cw[:, None]
+    dlogits[rows, y] -= cw
+    dlogits /= x.shape[0]
+    grad = np.empty(spec.n_parameters)
+    if spec.kind == "logistic":
+        w, _ = _unpack(spec, params)
+        gw, gb = _unpack(spec, grad)
+        np.matmul(x.T, dlogits, out=gw)
+        gw += l2 * w
+        np.add.reduce(dlogits, axis=0, out=gb)
+    else:
+        w1, _, w2, _ = _unpack(spec, params)
+        gw1, gb1, gw2, gb2 = _unpack(spec, grad)
+        np.matmul(hidden.T, dlogits, out=gw2)
+        gw2 += l2 * w2
+        np.add.reduce(dlogits, axis=0, out=gb2)
+        dz1 = dlogits @ w2.T
+        hidden *= hidden
+        np.subtract(1.0, hidden, out=hidden)
+        dz1 *= hidden
+        np.matmul(x.T, dz1, out=gw1)
+        gw1 += l2 * w1
+        np.add.reduce(dz1, axis=0, out=gb1)
+    return grad
 
 
 def loss_and_grad(
@@ -245,35 +313,16 @@ def loss_and_grad(
 
     class_weights, when given, is a length-k vector applied per example
     through its label: loss = (1/n) sum_i cw[y_i] * ce_i + penalty.
+    It is one forward pass plus two halves that the training loop also calls
+    on their own: minibatch steps need only the gradient, the safeguard only
+    the loss.
     """
     n = x.shape[0]
     cw = np.ones(n) if class_weights is None else np.asarray(class_weights, dtype=np.float64)[y]
-    probs, (z, hidden) = _forward(spec, params, x)
-    idx = np.arange(n)
-    log_denom = np.log(np.exp(z).sum(axis=1))
-    logp = z[idx, y] - log_denom
-    data_loss = -float(cw @ logp) / n
-
-    dlogits = probs * cw[:, None]
-    dlogits[idx, y] -= cw
-    dlogits /= n
-    if spec.kind == "logistic":
-        w, _ = _unpack(spec, params)
-        gw = x.T @ dlogits + l2 * w
-        gb = dlogits.sum(axis=0)
-        grad = np.concatenate([gw.ravel(), gb])
-        penalty = 0.5 * l2 * float((w * w).sum())
-    else:
-        w1, _, w2, _ = _unpack(spec, params)
-        gw2 = hidden.T @ dlogits + l2 * w2
-        gb2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2.T
-        dz1 = dhidden * (1.0 - hidden * hidden)
-        gw1 = x.T @ dz1 + l2 * w1
-        gb1 = dz1.sum(axis=0)
-        grad = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
-        penalty = 0.5 * l2 * float((w1 * w1).sum() + (w2 * w2).sum())
-    return data_loss + penalty, grad
+    rows = np.arange(n)
+    terms = _softmax_terms(spec, params, x)
+    loss = _loss_half(spec, params, y, cw, l2, terms, rows)
+    return loss, _grad_half(spec, params, x, y, cw, l2, terms, rows)
 
 
 def class_balanced_indices(labels, size: int, stream: RngStream) -> np.ndarray:
@@ -328,7 +377,7 @@ def reweight_predictions(
 
 
 def _accuracy(spec: ModelSpec, params: np.ndarray, data: LabeledSet) -> float:
-    probs, _ = _forward(spec, params, data.features)
+    probs = _forward(spec, params, data.features)
     return float(np.mean(np.argmax(probs, axis=1) == data.labels))
 
 
@@ -352,7 +401,10 @@ def _train(
     the minibatch gradient, or None to use the gradient unchanged. The
     safeguard monitors the full-train objective on the epoch's own data.
     Outside the hooks the arithmetic is that of plain ERM, which keeps the
-    reduction identities bit-exact."""
+    reduction identities bit-exact. A step computes only loss_and_grad's
+    gradient and the safeguard only its objective, each on the rows and in
+    the order loss_and_grad would see them, so both are bit for bit what
+    loss_and_grad returns."""
     if train.d != spec.input_dim:
         raise DimensionError("training features disagree with the model spec")
     if train.labels.max() >= spec.classes:
@@ -372,16 +424,23 @@ def _train(
     for epoch in range(cfg.epochs):
         x, y, weights = epoch_data(epoch, params)
         n = x.shape[0]
+        rows = np.arange(n)
         order = shuffle_gen.permutation(n)
+        xs, ys = x[order], y[order]
+        cws = weights[ys]
         for i, sl in enumerate(_batch_slices(n, cfg.batch_size)):
-            batch = order[sl]
-            _, grad = loss_and_grad(spec, params, x[batch], y[batch], weights, cfg.l2)
+            xb = xs[sl]
+            terms = _softmax_terms(spec, params, xb)
+            grad = _grad_half(spec, params, xb, ys[sl], cws[sl], cfg.l2, terms,
+                              rows[: xb.shape[0]])
             extra = None if step_extra is None else step_extra(i, step, params)
             if extra is not None:
-                grad = grad + extra
-            params = params - lr * grad
+                grad += extra
+            grad *= lr
+            params = params - grad
             step += 1
-        full_loss, _ = loss_and_grad(spec, params, x, y, weights, cfg.l2)
+        full_loss = _loss_half(spec, params, y, weights[y], cfg.l2,
+                               _softmax_terms(spec, params, x), rows)
         # Safeguard: reject the epoch and halve the step on any increase of
         # the monitored objective, so the recorded sequence never rises.
         if not np.isfinite(full_loss):
@@ -444,38 +503,46 @@ def pseudolabel_train(
     weights = np.ones(spec.classes)
     base = RngStream(cfg.seed)
     target_gen = base.derive("target_shuffle").generator()
-    target_order = None
+    steps_per_epoch = int(np.ceil(source_train.n / cfg.batch_size))
+    # Row i * batch_size + j of an epoch's target rows is the j-th target row
+    # of step i: the shuffled target order, wrapped round to fill every step.
+    wrapped = np.arange(steps_per_epoch * cfg.batch_size)
+    target_rows = None
 
     def epoch_data(epoch, params):
-        nonlocal target_order
+        nonlocal target_rows
         source = source_train
         tgt_idx = np.arange(target_x.shape[0])
         if corrections.resample:
             source = source_train.subset(class_balanced_indices(
                 source_train.labels, source_train.n, base.derive("balance_source", epoch)
             ))
-            probs_t, _ = _forward(spec, params, target_x)
+            probs_t = _forward(spec, params, target_x)
             tgt_idx = class_balanced_indices(
                 np.argmax(probs_t, axis=1), target_x.shape[0],
                 base.derive("balance_target", epoch),
             )
         target_order = target_gen.permutation(tgt_idx)
+        target_rows = target_x[target_order[wrapped % target_order.size]]
         return source.features, source.labels, weights
 
-    steps_per_epoch = int(np.ceil(source_train.n / cfg.batch_size))
     ramp_steps = pl.ramp_fraction * cfg.epochs * steps_per_epoch
 
     def step_extra(i, step, params):
         lam_t = pl.lambda_max * min(1.0, step / ramp_steps) if ramp_steps > 0 else pl.lambda_max
         if lam_t > 0.0:
-            take = (np.arange(i * cfg.batch_size, i * cfg.batch_size + cfg.batch_size)
-                    % target_order.size)
-            tb = target_x[target_order[take]]
-            probs_tb, _ = _forward(spec, params, tb)
-            confident = probs_tb.max(axis=1) >= pl.tau
+            tb = target_rows[i * cfg.batch_size:(i + 1) * cfg.batch_size]
+            probs_tb = _forward(spec, params, tb)
+            confident = _row_max(probs_tb)[:, 0] >= pl.tau
             if confident.any():
                 pseudo = np.argmax(probs_tb[confident], axis=1)
-                _, ugrad = loss_and_grad(spec, params, tb[confident], pseudo, None, 0.0)
+                # Forward the confident rows again rather than reusing their
+                # rows of probs_tb: a matmul over fewer rows may round
+                # differently.
+                tc = tb[confident]
+                m = tc.shape[0]
+                ugrad = _grad_half(spec, params, tc, pseudo, np.ones(m), 0.0,
+                                   _softmax_terms(spec, params, tc), np.arange(m))
                 # Mean over the full target batch, not just confident rows.
                 return lam_t * (confident.sum() / tb.shape[0]) * ugrad
         return None
@@ -515,8 +582,8 @@ def iw_erm_train(
     def epoch_data(epoch, params):
         nonlocal weights
         try:
-            probs_s, _ = _forward(spec, params, x)
-            probs_t, _ = _forward(spec, params, target_x)
+            probs_s = _forward(spec, params, x)
+            probs_t = _forward(spec, params, target_x)
             weights = np.asarray(
                 weight_fn(PredictionMatrix(probs_s), y, PredictionMatrix(probs_t)),
                 dtype=np.float64,

@@ -678,6 +678,8 @@ def _ingest_lines(path: Path, normalize: bool):
                     raise ParseError(f"{path}:{lineno}: non-integer label") from None
                 if label < 0:
                     raise ParseError(f"{path}:{lineno}: negative label")
+                if label >= 2**63:
+                    raise ParseError(f"{path}:{lineno}: label out of range")
                 labels.append(label)
         if not rows:
             raise ParseError(f"{path}: no data rows")

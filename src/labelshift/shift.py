@@ -449,13 +449,16 @@ def _load_labeled_lines(path: Path) -> LabeledSet:
                 raise ParseError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
             try:
                 features.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
+                label = int(row[-1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not -2**63 <= label < 2**63:
+                raise ParseError(f"{path}:{lineno}: label out of range")
+            labels.append(label)
     if not labels:
         raise ParseError(f"{path}: no data rows")
     try:
-        return LabeledSet(np.array(features), np.array(labels))
+        return LabeledSet(np.array(features), np.array(labels, dtype=np.int64))
     except (InvalidInputError, DimensionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from labelshift.adapt import (
+    _grad_half,
+    _loss_half,
+    _row_max,
+    _softmax_terms,
+    _unpack,
     AdaptResult,
     CorrectionFlags,
     Model,
@@ -190,6 +195,220 @@ class TestLossAndGrad:
         loss_b, grad_b = loss_and_grad(spec, params, x, y, np.ones(2), 0.01)
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
+
+
+def reference_forward(spec, params, x):
+    """The forward pass as it was written before the loss and gradient were
+    split: softmax probabilities, shifted logits and hidden layer."""
+    if spec.kind == "logistic":
+        w, b = _unpack(spec, params)
+        hidden = None
+        logits = x @ w + b
+    else:
+        w1, b1, w2, b2 = _unpack(spec, params)
+        hidden = np.tanh(x @ w1 + b1)
+        logits = hidden @ w2 + b2
+    z = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(z)
+    return expz / expz.sum(axis=1, keepdims=True), z, hidden
+
+
+def reference_loss_and_grad(spec, params, x, y, class_weights=None, l2=0.0):
+    """loss_and_grad as one function, before it was split into halves."""
+    n = x.shape[0]
+    cw = np.ones(n) if class_weights is None else np.asarray(class_weights, dtype=np.float64)[y]
+    probs, z, hidden = reference_forward(spec, params, x)
+    idx = np.arange(n)
+    logp = z[idx, y] - np.log(np.exp(z).sum(axis=1))
+    data_loss = -float(cw @ logp) / n
+    dlogits = probs * cw[:, None]
+    dlogits[idx, y] -= cw
+    dlogits /= n
+    if spec.kind == "logistic":
+        w, _ = _unpack(spec, params)
+        grad = np.concatenate([(x.T @ dlogits + l2 * w).ravel(), dlogits.sum(axis=0)])
+        penalty = 0.5 * l2 * float((w * w).sum())
+    else:
+        w1, _, w2, _ = _unpack(spec, params)
+        gw2 = hidden.T @ dlogits + l2 * w2
+        dz1 = (dlogits @ w2.T) * (1.0 - hidden * hidden)
+        gw1 = x.T @ dz1 + l2 * w1
+        grad = np.concatenate([gw1.ravel(), dz1.sum(axis=0), gw2.ravel(), dlogits.sum(axis=0)])
+        penalty = 0.5 * l2 * float((w1 * w1).sum() + (w2 * w2).sum())
+    return data_loss + penalty, grad
+
+
+class TestLossHalves:
+    """The gradient half and the loss half are bit for bit loss_and_grad's
+    outputs, and loss_and_grad is bit for bit the unsplit formula."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("weights", ["none", "ones", "skewed"])
+    @pytest.mark.parametrize("rows", [128, 77, 1000])
+    def test_halves_equal_loss_and_grad(self, kind, k, weights, rows):
+        spec = ModelSpec(kind, 16, k, hidden_units=32)
+        gen = np.random.default_rng(rows)
+        params = gen.standard_normal(spec.n_parameters)
+        x = gen.standard_normal((1000, 16))[:rows]
+        y = gen.integers(0, k, size=1000)[:rows]
+        class_weights = {"none": None, "ones": np.ones(k),
+                         "skewed": np.linspace(0.3, 2.7, k)}[weights]
+        loss, grad = loss_and_grad(spec, params, x, y, class_weights, 1e-4)
+        ref_loss, ref_grad = reference_loss_and_grad(spec, params, x, y, class_weights, 1e-4)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+        cw = np.ones(rows) if class_weights is None else class_weights[y]
+        idx = np.arange(rows)
+        terms = _softmax_terms(spec, params, x)
+        assert _loss_half(spec, params, y, cw, 1e-4, terms, idx) == loss
+        terms = _softmax_terms(spec, params, x)
+        assert np.array_equal(_grad_half(spec, params, x, y, cw, 1e-4, terms, idx), grad)
+
+
+class TestRowMax:
+    @pytest.mark.parametrize("k", [2, 3, 10, 50])
+    def test_equals_max_over_rows(self, k):
+        gen = np.random.default_rng(k)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -1.5])
+        blocks = [
+            gen.standard_normal((300, k)),
+            gen.choice(special, size=(300, k)),  # ties, signed zeros, infinities
+            np.zeros((1, k)), np.full((1, k), -0.0), np.full((1, k), np.inf),
+            np.full((1, k), -np.inf),
+        ]
+        a = np.concatenate(blocks)
+        # Values are compared: which zero a tie of +0.0 and -0.0 returns
+        # depends on numpy's loop, and exp(z) does not see the sign.
+        assert np.array_equal(_row_max(a), a.max(axis=1, keepdims=True))
+        assert np.array_equal(_row_max(a[:1]), a[:1].max(axis=1, keepdims=True))
+
+
+def reference_train(spec, train, val, cfg, epoch_data, step_extra=None):
+    """_train as it was before the split: public loss_and_grad for every step
+    and for the safeguard, batches gathered one at a time."""
+    base = RngStream(cfg.seed)
+    params = init_parameters(spec, base.derive("init"))
+    shuffle_gen = base.derive("shuffle").generator()
+    lr = cfg.learning_rate
+    prev_params, prev_loss = params, np.inf
+    best_params, best_acc = params, -np.inf
+    log, losses, step = [], [], 0
+    for epoch in range(cfg.epochs):
+        x, y, weights = epoch_data(epoch, params)
+        n = x.shape[0]
+        order = shuffle_gen.permutation(n)
+        for i, start in enumerate(range(0, n, cfg.batch_size)):
+            batch = order[start:start + cfg.batch_size]
+            _, grad = loss_and_grad(spec, params, x[batch], y[batch], weights, cfg.l2)
+            extra = None if step_extra is None else step_extra(i, step, params)
+            if extra is not None:
+                grad = grad + extra
+            params = params - lr * grad
+            step += 1
+        full_loss, _ = loss_and_grad(spec, params, x, y, weights, cfg.l2)
+        if full_loss > prev_loss:
+            params = prev_params
+            lr /= 2.0
+            acc = log[-1]
+        else:
+            prev_params, prev_loss = params, full_loss
+            probs = reference_forward(spec, params, val.features)[0]
+            acc = float(np.mean(np.argmax(probs, axis=1) == val.labels))
+        losses.append(prev_loss)
+        log.append(acc)
+        if acc > best_acc:
+            best_acc, best_params = acc, params
+    return best_params, tuple(log), tuple(losses)
+
+
+def reference_pseudolabel(spec, train, val, target_x, cfg, pl, resample):
+    base = RngStream(cfg.seed)
+    target_gen = base.derive("target_shuffle").generator()
+    state = {}
+
+    def epoch_data(epoch, params):
+        source, tgt_idx = train, np.arange(target_x.shape[0])
+        if resample:
+            source = train.subset(class_balanced_indices(
+                train.labels, train.n, base.derive("balance_source", epoch)))
+            probs_t = reference_forward(spec, params, target_x)[0]
+            tgt_idx = class_balanced_indices(np.argmax(probs_t, axis=1), target_x.shape[0],
+                                             base.derive("balance_target", epoch))
+        state["order"] = target_gen.permutation(tgt_idx)
+        return source.features, source.labels, np.ones(spec.classes)
+
+    ramp_steps = pl.ramp_fraction * cfg.epochs * int(np.ceil(train.n / cfg.batch_size))
+
+    def step_extra(i, step, params):
+        lam_t = pl.lambda_max * min(1.0, step / ramp_steps)
+        if lam_t > 0.0:
+            order = state["order"]
+            take = np.arange(i * cfg.batch_size, (i + 1) * cfg.batch_size) % order.size
+            tb = target_x[order[take]]
+            probs_tb = reference_forward(spec, params, tb)[0]
+            confident = probs_tb.max(axis=1) >= pl.tau
+            if confident.any():
+                pseudo = np.argmax(probs_tb[confident], axis=1)
+                _, ugrad = loss_and_grad(spec, params, tb[confident], pseudo, None, 0.0)
+                return lam_t * (confident.sum() / tb.shape[0]) * ugrad
+        return None
+
+    return reference_train(spec, train, val, cfg, epoch_data, step_extra)
+
+
+def reference_iw_erm(spec, train, val, target_x, cfg, weight_fn):
+    def epoch_data(epoch, params):
+        probs_s = reference_forward(spec, params, train.features)[0]
+        probs_t = reference_forward(spec, params, target_x)[0]
+        weights = weight_fn(PredictionMatrix(probs_s), train.labels, PredictionMatrix(probs_t))
+        return train.features, train.labels, np.asarray(weights, dtype=np.float64)
+
+    return reference_train(spec, train, val, cfg, epoch_data)
+
+
+def prior_ratio(preds_source, labels_source, preds_target):
+    """A cheap stand-in for the RLLS weights: mean target prediction over the
+    source label frequency."""
+    freq = np.bincount(labels_source, minlength=preds_source.k) / labels_source.size
+    return preds_target.values.mean(axis=0) / freq
+
+
+class TestTrajectory:
+    """Every trainer's parameters and logs are bit for bit those of the loop
+    before the loss and gradient were split, including rolled-back epochs."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_trainers_match_the_reference_loop(self, kind):
+        train = make_blobs(3, 16, 600, 2.5, seed=21)
+        val = make_blobs(3, 16, 200, 2.5, seed=22)
+        # 500 target rows < 10 steps x 64: the target order wraps round. At
+        # d=16 a pseudo-label step that reused the batch forward's confident
+        # rows instead of forwarding them again would drift.
+        target = make_blobs(3, 16, 500, 2.5, seed=23, marginal=[0.6, 0.3, 0.1]).features
+        spec = ModelSpec(kind, 16, 3, hidden_units=8)
+        # Learning rate 40 rolls back at least one epoch of every run.
+        cfg = TrainConfig(epochs=6, batch_size=64, learning_rate=40.0, l2=1e-3, seed=5)
+        pl = PseudoLabelConfig(tau=0.8)
+        skewed = np.array([0.5, 1.0, 2.0])
+        runs = [
+            (train_erm(spec, train, val, cfg, skewed),
+             reference_train(spec, train, val, cfg,
+                             lambda epoch, params: (train.features, train.labels, skewed))),
+            (iw_erm_train(spec, train, val, target, cfg, prior_ratio),
+             reference_iw_erm(spec, train, val, target, cfg, prior_ratio)),
+        ]
+        for resample in (False, True):
+            model = pseudolabel_train(spec, train, val, target, cfg, pl,
+                                      CorrectionFlags(resample=resample))
+            runs.append((model, reference_pseudolabel(spec, train, val, target, cfg, pl,
+                                                      resample)))
+        for model, (params, log, losses) in runs:
+            assert np.array_equal(model.parameters, params)
+            assert model.training_log == log
+            assert model.loss_log == losses
+            assert any(a == b for a, b in zip(losses, losses[1:]))  # a rollback
 
 
 class TestClassBalancedIndices:

@@ -211,6 +211,16 @@ class TestEstimate:
         assert captured.out == ""
         assert captured.err == "error: lam must be finite and nonnegative, or None\n"
 
+    def test_label_beyond_int64_is_a_parse_error(self, tmp_path, capsys):
+        source = tmp_path / "source.csv"
+        source.write_text("p0,p1,y\n0.5,0.5,0\n0.5,0.5,9223372036854775808\n")
+        target = one_hot_dump(tmp_path, "target.csv", [3, 7], labels=False)
+        code = main(["estimate", "--source", str(source), "--target", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {source}:3: label out of range\n"
+
     def test_unlabeled_source_rejected(self, tmp_path, capsys):
         source = one_hot_dump(tmp_path, "source.csv", [4, 4], labels=False)
         target = one_hot_dump(tmp_path, "target.csv", [2, 2], labels=False)

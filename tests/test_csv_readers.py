@@ -246,6 +246,12 @@ class TestDumpTraps:
         got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
         assert got == ("ParseError", f"{path}:3: non-integer label")
 
+    @pytest.mark.parametrize("label", ["9223372036854775808", "18446744073709551616"])
+    def test_label_beyond_int64_is_rejected(self, tmp_path, label):
+        path = dump(tmp_path, f"p0,p1,y\n0.5,0.5,1\n0.5,0.5,{label}\n")
+        got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+        assert got == ("ParseError", f"{path}:3: label out of range")
+
     def test_row_totals_sum_left_to_right(self, tmp_path):
         # Ten 0.1s sum to 0.9999999999999999 left to right but to 1.0 under
         # the compensated sum() of Python 3.12+.
@@ -313,6 +319,15 @@ class TestLabeledTraps:
         got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
         assert got == ("ParseError",
                        f"{path}:2: invalid literal for int() with base 10: '3.0'")
+
+    @pytest.mark.parametrize("label", [
+        "9223372036854775808", "18446744073709551616", "-9223372036854775809",
+    ])
+    def test_label_beyond_int64_is_rejected(self, tmp_path, label):
+        # Without the check, 2**63 wrapped to -2**63 in the int64 cast.
+        path = pool(tmp_path, f"f0,y\n0.5,1\n0.5,{label}\n")
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
+        assert got == ("ParseError", f"{path}:3: label out of range")
 
     def test_valid_pool_takes_the_one_pass_reader(self, tmp_path, monkeypatch):
         def refuse(*args):
