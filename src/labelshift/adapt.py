@@ -10,14 +10,16 @@ and class weights and in an optional extra gradient term per step.
 
 meta_adapt wraps any of the training algorithms with the two corrections:
 class re-balancing of the training data (rs) and post-hoc re-weighting of the
-predictions by an estimated target marginal (rw).
+predictions by an estimated target marginal (rw). It is two halves: training
+under rs, then reweight_result for rw, which applies to a trained model alone,
+so every rw arm of one (algorithm, rs) model can share a single training.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -168,15 +170,25 @@ class Model:
 
 @dataclass(frozen=True, eq=False)
 class AdaptResult:
-    """Output of meta_adapt: the trained model, the estimated target marginal
-    (None when re-weighting was off or estimation failed), the estimator's raw
-    output, and an adjusted prediction function with corrections applied."""
+    """Output of meta_adapt: the trained model, the label marginal it was
+    trained under (uniform after rs), the estimated target marginal (None
+    when re-weighting was off or estimation failed), and the estimator's raw
+    output."""
 
     model: Model
-    p_hat_t: LabelMarginal | None
-    adjusted: Callable[[np.ndarray], PredictionMatrix]
+    train_marginal: LabelMarginal
+    p_hat_t: LabelMarginal | None = None
     estimate: EstimatorOutput | None = None
     diagnostics: tuple[str, ...] = ()
+
+    def reweighted(self, preds: PredictionMatrix) -> PredictionMatrix:
+        """Predictions of self.model with the correction applied."""
+        if self.p_hat_t is None:
+            return preds
+        return reweight_predictions(preds, self.p_hat_t, self.train_marginal)
+
+    def adjusted(self, features) -> PredictionMatrix:
+        return self.reweighted(self.model.predict(features))
 
 
 def _check_features(spec: ModelSpec, features) -> np.ndarray:
@@ -318,6 +330,11 @@ def loss_and_grad(
     the loss.
     """
     n = x.shape[0]
+    y = np.asarray(y)
+    if y.shape != (n,) or not np.issubdtype(y.dtype, np.integer):
+        raise InvalidInputError(f"labels must be {n} integers, got shape {y.shape} of {y.dtype}")
+    if np.any(y < 0) or np.any(y >= spec.classes):
+        raise InvalidInputError(f"labels must lie in [0, {spec.classes})")
     cw = np.ones(n) if class_weights is None else np.asarray(class_weights, dtype=np.float64)[y]
     rows = np.arange(n)
     terms = _softmax_terms(spec, params, x)
@@ -511,12 +528,11 @@ def pseudolabel_train(
 
     def epoch_data(epoch, params):
         nonlocal target_rows
-        source = source_train
+        x, y = source_train.features, source_train.labels
         tgt_idx = np.arange(target_x.shape[0])
         if corrections.resample:
-            source = source_train.subset(class_balanced_indices(
-                source_train.labels, source_train.n, base.derive("balance_source", epoch)
-            ))
+            idx = class_balanced_indices(y, source_train.n, base.derive("balance_source", epoch))
+            x, y = x[idx], y[idx]
             probs_t = _forward(spec, params, target_x)
             tgt_idx = class_balanced_indices(
                 np.argmax(probs_t, axis=1), target_x.shape[0],
@@ -524,7 +540,7 @@ def pseudolabel_train(
             )
         target_order = target_gen.permutation(tgt_idx)
         target_rows = target_x[target_order[wrapped % target_order.size]]
-        return source.features, source.labels, weights
+        return x, y, weights
 
     ramp_steps = pl.ramp_fraction * cfg.epochs * steps_per_epoch
 
@@ -611,11 +627,9 @@ def meta_adapt(
 
     With resample on, the source is class-balanced before training (the
     pseudo-label loop instead re-balances source and target every epoch), so
-    the classifier sees a uniform prior. With reweight on, the target
-    marginal is estimated from source-val predictions plus unlabeled
-    target-holdout predictions, floored, and divided by the training prior to
-    adjust predictions. Estimation failures leave the uncorrected model with
-    a diagnostic."""
+    the classifier sees a uniform prior. With reweight on, reweight_result
+    then corrects the trained model's predictions. The model depends on
+    corrections.resample only, never on reweight or the estimator."""
     if algorithm not in ALGORITHMS:
         raise InvalidInputError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if model_spec is None:
@@ -645,43 +659,43 @@ def meta_adapt(
             model_spec, source_train, bundle.source_val,
             bundle.target_train.features, cfg,
         )
+    trained = AdaptResult(model, train_marginal)
+    if not corrections.reweight:
+        return trained
+    return reweight_result(trained, bundle, corrections.estimator, rlls_cfg, mlls_cfg)
 
-    p_hat: LabelMarginal | None = None
-    estimate: EstimatorOutput | None = None
-    diagnostics: tuple[str, ...] = ()
-    if corrections.reweight:
-        try:
-            estimate = estimate_marginal(
-                corrections.estimator or "rlls",
-                model.predict(bundle.source_val.features),
-                bundle.source_val.labels,
-                model.predict(bundle.target_test.features),
-                classifier_prior=train_marginal,
-                rlls_cfg=rlls_cfg,
-                mlls_cfg=mlls_cfg,
-            )
-            diagnostics = estimate.diagnostics
-            floored = np.maximum(estimate.marginal.probs, MARGINAL_FLOOR)
-            p_hat = LabelMarginal(floored / floored.sum())
-        except LabelShiftError as exc:
-            diagnostics = (f"marginal estimation failed: {exc}",)
 
-    if p_hat is not None:
-        marginal = p_hat
-
-        def adjusted(features, _m=marginal, _t=train_marginal, _model=model):
-            return reweight_predictions(_model.predict(features), _m, _t)
-    else:
-        def adjusted(features, _model=model):
-            return _model.predict(features)
-
-    return AdaptResult(
-        model=model,
-        p_hat_t=p_hat,
-        adjusted=adjusted,
-        estimate=estimate,
-        diagnostics=diagnostics,
-    )
+def reweight_result(
+    trained: AdaptResult,
+    bundle: TaskBundle,
+    estimator: str | None = None,
+    rlls_cfg: RllsConfig = RllsConfig(),
+    mlls_cfg: MllsConfig = MllsConfig(),
+    source_preds: PredictionMatrix | None = None,
+    target_preds: PredictionMatrix | None = None,
+) -> AdaptResult:
+    """The rw half of meta_adapt: estimate the target marginal from
+    source-val predictions plus unlabeled target-holdout predictions of
+    trained.model, floor it, and divide by the training prior to adjust
+    predictions. source_preds and target_preds, when given, are those
+    predictions already made, so arms sharing one model predict once.
+    Estimation failures leave the uncorrected model with a diagnostic."""
+    model = trained.model
+    try:
+        estimate = estimate_marginal(
+            estimator or "rlls",
+            model.predict(bundle.source_val.features) if source_preds is None else source_preds,
+            bundle.source_val.labels,
+            model.predict(bundle.target_test.features) if target_preds is None else target_preds,
+            classifier_prior=trained.train_marginal,
+            rlls_cfg=rlls_cfg,
+            mlls_cfg=mlls_cfg,
+        )
+        floored = np.maximum(estimate.marginal.probs, MARGINAL_FLOOR)
+        p_hat = LabelMarginal(floored / floored.sum())
+    except LabelShiftError as exc:
+        return replace(trained, diagnostics=(f"marginal estimation failed: {exc}",))
+    return replace(trained, p_hat_t=p_hat, estimate=estimate, diagnostics=estimate.diagnostics)
 
 
 def save_model(model: Model, path) -> None:

@@ -3,16 +3,21 @@ corrections.
 
 Every cell derives its randomness from the top-level seed plus its own
 coordinates, so results are identical whether cells run serially, in a
-thread pool, or across resumed invocations. Records append to a JSONL file
-as they complete; aggregation pairs each record with its uncorrected
-source_only baseline and reports relative-accuracy statistics as CSV.
+thread pool, or across resumed invocations. The unit of work is one (task,
+alpha, seed) coordinate: its bundle is built once, one model is trained per
+(method, resample), and each reweighting arm corrects that model's
+predictions. Records append to a JSONL file as their coordinate completes;
+aggregation pairs each record with its uncorrected source_only baseline and
+reports relative-accuracy statistics as CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,11 +32,13 @@ from labelshift.adapt import (
     PseudoLabelConfig,
     TrainConfig,
     meta_adapt,
+    reweight_result,
 )
 from labelshift.core import (
     DimensionError,
     InvalidInputError,
     LabelMarginal,
+    LabeledSet,
     LabelShiftError,
     PairingError,
     ParseError,
@@ -331,9 +338,18 @@ def _derived_seed(top_seed: int, *labels) -> int:
     return RngStream(top_seed).derive(*labels).stream_id
 
 
-def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int):
+def load_pools(task: GridTask) -> tuple[LabeledSet, LabeledSet]:
+    """Read a dataset task's source and target pools."""
+    base = Path(task.data_dir)
+    return load_labeled_csv(base / "source.csv"), load_labeled_csv(base / "target.csv")
+
+
+def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int,
+                 pools: tuple[LabeledSet, LabeledSet] | None = None):
     """Materialize the task bundle for one (task, alpha, seed) coordinate.
-    All methods and corrections at that coordinate share this bundle."""
+    All methods and corrections at that coordinate share this bundle. A
+    dataset task resamples the given pools, or reads them when none are
+    given."""
     shift = ShiftSpec(
         alpha=alpha,
         epsilon=task.epsilon,
@@ -346,18 +362,37 @@ def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int
             seed=_derived_seed(cfg.seed, "bundle", task.name, alpha, seed),
         )
         return synth_relaxed_task(spec, shift)
-    base = Path(task.data_dir)
-    source_pool = load_labeled_csv(base / "source.csv")
-    target_pool = load_labeled_csv(base / "target.csv")
+    source_pool, target_pool = load_pools(task) if pools is None else pools
     k = int(max(source_pool.labels.max(), target_pool.labels.max())) + 1
     return apply_shift_protocol(task.name, k, source_pool, target_pool, shift)
 
 
-def run_cell(cfg: GridConfig, cell: Cell) -> RunRecord:
-    """Execute one cell; failures come back as records carrying the error
-    string instead of metrics."""
-    started = time.perf_counter()
-    base = dict(
+class SharedPools:
+    """A dataset task's pools, read by the first of its coordinates that asks
+    and dropped after the last one is done, so a run parses them once. A
+    failed read is not kept: every coordinate then reports it."""
+
+    def __init__(self, task: GridTask, coordinates: int):
+        self._task = task
+        self._left = coordinates
+        self._pools = None
+        self._lock = threading.Lock()
+
+    def get(self) -> tuple[LabeledSet, LabeledSet]:
+        with self._lock:
+            if self._pools is None:
+                self._pools = load_pools(self._task)
+            return self._pools
+
+    def release(self) -> None:
+        with self._lock:
+            self._left -= 1
+            if self._left == 0:
+                self._pools = None
+
+
+def _cell_fields(cell: Cell) -> dict:
+    return dict(
         task_id=cell.task.name,
         alpha=cell.alpha,
         seed=cell.seed,
@@ -365,38 +400,98 @@ def run_cell(cfg: GridConfig, cell: Cell) -> RunRecord:
         corrections=cell.corrections.label(),
         estimator=cell.corrections.estimator,
     )
+
+
+def _failed(cell: Cell, exc: Exception, seconds: float) -> RunRecord:
+    return RunRecord(**_cell_fields(cell), wall_time_seconds=seconds,
+                     error=f"{type(exc).__name__}: {exc}")
+
+
+def run_cell(cfg: GridConfig, cell: Cell) -> RunRecord:
+    """Execute one cell on its own; failures come back as records carrying
+    the error string instead of metrics."""
+    return run_coordinate(cfg, [cell])[0]
+
+
+def run_coordinate(cfg: GridConfig, cells: list[Cell],
+                   pools: SharedPools | None = None) -> list[RunRecord]:
+    """Execute cells that share one (task, alpha, seed) coordinate, in their
+    order: build the bundle once, train once per (method, resample), and
+    apply each reweighting arm to that model. A failure becomes an error
+    record for every cell it touches: the coordinate's at the bundle, the
+    group's at training, one cell's at its arm.
+
+    A cell's wall time is its even share of the bundle build, its even share
+    of its group's training and predictions, and its own arm, so the cell
+    times of a run add up to the run's."""
+    first = cells[0]
+    started = time.perf_counter()
     try:
-        bundle = build_bundle(cfg, cell.task, cell.alpha, cell.seed)
+        bundle = build_bundle(cfg, first.task, first.alpha, first.seed,
+                              None if pools is None else pools.get())
+    except Exception as exc:  # the grid must survive any single coordinate
+        share = (time.perf_counter() - started) / len(cells)
+        return [_failed(cell, exc, share) for cell in cells]
+    share = (time.perf_counter() - started) / len(cells)
+    groups: dict[tuple, list[Cell]] = {}
+    for cell in cells:
+        groups.setdefault((cell.method, cell.corrections.resample), []).append(cell)
+    records = {}
+    for group in groups.values():
+        for cell, record in zip(group, _run_group(cfg, bundle, group, share)):
+            records[cell.key()] = record
+    return [records[cell.key()] for cell in cells]
+
+
+def _run_group(cfg: GridConfig, bundle, cells: list[Cell], share: float) -> list[RunRecord]:
+    """Train the one model that cells of the same (coordinate, method,
+    resample) share, then evaluate each cell's reweighting arm on its
+    predictions."""
+    first = cells[0]
+    started = time.perf_counter()
+    try:
         train_cfg = replace(
             cfg.train,
-            seed=_derived_seed(cfg.seed, "train", cell.task.name, cell.alpha,
-                               cell.seed, cell.method),
+            seed=_derived_seed(cfg.seed, "train", first.task.name, first.alpha,
+                               first.seed, first.method),
         )
         spec = ModelSpec(cfg.model_kind, input_dim=bundle.d, classes=bundle.k,
                          hidden_units=cfg.hidden_units)
-        result = meta_adapt(cell.method, bundle, cell.corrections, train_cfg,
-                            model_spec=spec, pl=cfg.pseudolabel)
-        test = bundle.target_test
-        metrics = evaluate(result.adjusted(test.features), test.labels,
-                           result.p_hat_t, bundle.true_target_marginal)
-        val = bundle.source_val
-        source_val_accuracy = evaluate(result.model.predict(val.features), val.labels).accuracy
-        return RunRecord(
-            **base,
-            target_accuracy=metrics.accuracy,
-            source_val_accuracy=source_val_accuracy,
-            marginal_l1_error=metrics.marginal_l1_error,
-            true_marginal=tuple(float(v) for v in bundle.true_target_marginal.probs),
-            estimated_marginal=(tuple(float(v) for v in result.p_hat_t.probs)
-                                if result.p_hat_t is not None else None),
-            wall_time_seconds=time.perf_counter() - started,
-        )
-    except Exception as exc:  # the grid must survive any single cell
-        return RunRecord(
-            **base,
-            wall_time_seconds=time.perf_counter() - started,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        trained = meta_adapt(first.method, bundle,
+                             CorrectionFlags(resample=first.corrections.resample),
+                             train_cfg, model_spec=spec, pl=cfg.pseudolabel)
+        test, val = bundle.target_test, bundle.source_val
+        test_preds = trained.model.predict(test.features)
+        val_preds = trained.model.predict(val.features)
+        source_val_accuracy = evaluate(val_preds, val.labels).accuracy
+        true_marginal = tuple(float(v) for v in bundle.true_target_marginal.probs)
+    except Exception as exc:  # the grid must survive any single group
+        share += (time.perf_counter() - started) / len(cells)
+        return [_failed(cell, exc, share) for cell in cells]
+    share += (time.perf_counter() - started) / len(cells)
+    records = []
+    for cell in cells:
+        started = time.perf_counter()
+        try:
+            result = trained
+            if cell.corrections.reweight:
+                result = reweight_result(trained, bundle, cell.corrections.estimator,
+                                         source_preds=val_preds, target_preds=test_preds)
+            metrics = evaluate(result.reweighted(test_preds), test.labels,
+                               result.p_hat_t, bundle.true_target_marginal)
+            records.append(RunRecord(
+                **_cell_fields(cell),
+                target_accuracy=metrics.accuracy,
+                source_val_accuracy=source_val_accuracy,
+                marginal_l1_error=metrics.marginal_l1_error,
+                true_marginal=true_marginal,
+                estimated_marginal=(tuple(float(v) for v in result.p_hat_t.probs)
+                                    if result.p_hat_t is not None else None),
+                wall_time_seconds=share + time.perf_counter() - started,
+            ))
+        except Exception as exc:  # the grid must survive any single cell
+            records.append(_failed(cell, exc, share + time.perf_counter() - started))
+    return records
 
 
 def read_records(path) -> list[RunRecord]:
@@ -433,7 +528,8 @@ def _record_order(record: RunRecord):
 
 def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRecord]:
     """Run every planned cell, appending each record to
-    output_dir/results.jsonl as it completes through a single writer.
+    output_dir/results.jsonl through a single writer as its coordinate
+    completes. With jobs > 1, coordinates run in a thread pool.
 
     With resume=True, cells that already have a successful record are
     skipped and failed cells run again; a torn final line is cut off before
@@ -466,6 +562,20 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     records = [r for r in latest.values() if r.error is None]
     done_keys = {r.key() for r in records}
     todo = [c for c in cells if c.key() not in done_keys]
+    coordinates: dict[tuple, list[Cell]] = {}
+    for cell in todo:
+        coordinates.setdefault((cell.task.name, cell.alpha, cell.seed), []).append(cell)
+    per_task = Counter(name for name, _, _ in coordinates)
+    pools = {task.name: SharedPools(task, per_task[task.name])
+             for task in cfg.tasks if task.data_dir is not None and per_task[task.name]}
+
+    def run(group: list[Cell]) -> list[RunRecord]:
+        shared = pools.get(group[0].task.name)
+        try:
+            return run_coordinate(cfg, group, shared)
+        finally:
+            if shared is not None:
+                shared.release()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(results_path, "a") as fh:
@@ -475,14 +585,16 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
             fh.flush()
             records.append(record)
 
-        if jobs == 1 or len(todo) <= 1:
-            for cell in todo:
-                emit(run_cell(cfg, cell))
+        if jobs == 1 or len(coordinates) <= 1:
+            for group in coordinates.values():
+                for record in run(group):
+                    emit(record)
         else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(run_cell, cfg, cell) for cell in todo]
+            with ThreadPoolExecutor(max_workers=jobs) as executor:
+                futures = [executor.submit(run, group) for group in coordinates.values()]
                 for future in as_completed(futures):
-                    emit(future.result())
+                    for record in future.result():
+                        emit(record)
     return sorted(records, key=_record_order)
 
 

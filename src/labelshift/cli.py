@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a benchmark grid from a JSON config")
     run.add_argument("--config", required=True, help="path to the grid config JSON")
-    run.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="worker threads, each running one (task, alpha, seed) coordinate "
+                          "at a time (default 1)")
     run.add_argument("--resume", action="store_true",
                      help="skip cells already present in the results file")
     run.add_argument("--dry-run", action="store_true",

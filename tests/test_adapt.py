@@ -196,6 +196,14 @@ class TestLossAndGrad:
         assert loss_a == loss_b
         assert np.array_equal(grad_a, grad_b)
 
+    @pytest.mark.parametrize("labels", [[-1], [3], [0, 1], [[0]], [0.0]])
+    def test_bad_labels_rejected(self, labels):
+        # -1 would score as class k-1 and k would index past the logits.
+        spec = ModelSpec("logistic", 2, 3)
+        params = np.zeros(spec.n_parameters)
+        with pytest.raises(InvalidInputError, match="labels"):
+            loss_and_grad(spec, params, np.array([[1.0, 2.0]]), np.array(labels))
+
 
 def reference_forward(spec, params, x):
     """The forward pass as it was written before the loss and gradient were

@@ -1,10 +1,16 @@
 """Grid runner, metrics, aggregation, and the prediction-dump format."""
 
 import json
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labelshift.adapt as adapt_module
+import labelshift.bench as bench_module
 from labelshift.adapt import CorrectionFlags, TrainConfig
 from labelshift.bench import (
     RESULTS_FILENAME,
@@ -300,6 +306,126 @@ class TestRunGrid:
         assert by_task["missing"].error is not None
         assert by_task["missing"].target_accuracy is None
         assert by_task["blob"].error is None
+
+    def all_arms_grid(self, tmp_path):
+        return tiny_grid(
+            tmp_path, methods=("source_only", "pseudolabel"),
+            corrections=tuple(CorrectionFlags.from_label(label)
+                              for label in ("none", "rs", "rw", "rs+rw")),
+            estimators=("rlls", "mlls"),
+        )
+
+    def count_trainings(self, monkeypatch):
+        """Count trainings per (task, alpha, algorithm, resample); the grids
+        here have one seed."""
+        calls = Counter()
+        original = bench_module.meta_adapt
+
+        def counted(algorithm, bundle, corrections, *args, **kwargs):
+            calls[(bundle.name, bundle.alpha, algorithm, corrections.resample)] += 1
+            return original(algorithm, bundle, corrections, *args, **kwargs)
+
+        trainers = Counter()
+        for name in ("train_erm", "pseudolabel_train"):
+            def trainer(*args, _name=name, _fn=getattr(adapt_module, name), **kwargs):
+                trainers[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(adapt_module, name, trainer)
+        monkeypatch.setattr(bench_module, "meta_adapt", counted)
+        return calls, trainers
+
+    def test_one_training_per_method_and_resample(self, tmp_path, monkeypatch):
+        cfg = self.all_arms_grid(tmp_path)
+        calls, trainers = self.count_trainings(monkeypatch)
+        records = run_grid(cfg)
+        assert len(records) == 2 * 2 * (1 + 1 + 2 + 2)
+        assert all(r.error is None for r in records)
+        # 2 alphas x 2 methods x resample on and off, each trained once.
+        assert len(calls) == 8 and set(calls.values()) == {1}
+        assert trainers == {"train_erm": 4, "pseudolabel_train": 4}
+
+    def test_resume_retrains_only_the_missing_arm(self, tmp_path, monkeypatch):
+        cfg = self.all_arms_grid(tmp_path)
+        run_grid(cfg)
+        path = tmp_path / "out" / RESULTS_FILENAME
+        lines = path.read_text().splitlines(keepends=True)
+        victim = next(i for i, line in enumerate(lines)
+                      if '"corrections": "rs+rw", "estimator": "mlls"' in line
+                      and '"pseudolabel"' in line)
+        deleted = lines.pop(victim)
+        path.write_text("".join(lines))
+        calls, _ = self.count_trainings(monkeypatch)
+        run_grid(cfg, resume=True)
+        appended = path.read_text().splitlines(keepends=True)[len(lines):]
+        assert len(appended) == 1
+        assert calls == {("blob", json.loads(deleted)["alpha"], "pseudolabel", True): 1}
+
+        def strip(line):
+            payload = json.loads(line)
+            payload.pop("wall_time_seconds")
+            return json.dumps(payload)
+
+        assert strip(appended[0]) == strip(deleted)
+
+    def test_failed_training_fails_only_its_group(self, tmp_path, monkeypatch):
+        cfg = self.all_arms_grid(tmp_path)
+        original = adapt_module.pseudolabel_train
+
+        def flaky(spec, train, val, target, train_cfg, pl, corrections):
+            if corrections.resample:
+                raise RuntimeError("no balanced pseudo-labels today")
+            return original(spec, train, val, target, train_cfg, pl, corrections)
+
+        monkeypatch.setattr(adapt_module, "pseudolabel_train", flaky)
+        records = run_grid(cfg)
+        failed = {r.key() for r in records if r.error is not None}
+        expected = {r.key() for r in records
+                    if r.method == "pseudolabel" and "rs" in r.corrections.split("+")}
+        assert failed == expected and len(failed) == 2 * (1 + 2)
+        assert all(r.error == "RuntimeError: no balanced pseudo-labels today"
+                   for r in records if r.key() in failed)
+        assert all(r.target_accuracy is not None for r in records if r.key() not in failed)
+
+    def test_threads_read_each_pool_once(self, tmp_path, monkeypatch):
+        pool_dir = tmp_path / "pools"
+        pool_dir.mkdir()
+        save_labeled_csv(pool_dir / "source.csv", make_blobs(3, 3, 300, 3.0, seed=0))
+        save_labeled_csv(pool_dir / "target.csv", make_blobs(3, 3, 300, 3.0, seed=1))
+        reads = []
+        original = bench_module.load_labeled_csv
+
+        def counted(path):
+            reads.append(Path(path).name)  # list.append cannot lose an update
+            return original(path)
+
+        monkeypatch.setattr(bench_module, "load_labeled_csv", counted)
+        grid = dict(tasks=(GridTask(name="disk", data_dir=str(pool_dir)),),
+                    alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1, 2))
+        serial = run_grid(tiny_grid(tmp_path, output_dir=str(tmp_path / "serial"), **grid))
+        assert sorted(reads) == ["source.csv", "target.csv"]
+        reads.clear()
+        parallel = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cfg = tiny_grid(tmp_path, output_dir=str(tmp_path / "parallel"), **grid)
+            worker = threading.Thread(target=lambda: parallel.extend(run_grid(cfg, jobs=8)),
+                                      daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert sorted(reads) == ["source.csv", "target.csv"]
+
+        def strip(rec):
+            d = rec.to_json_dict()
+            d.pop("wall_time_seconds", None)
+            return d
+
+        assert len(serial) == 15 * 2
+        assert all(r.error is None for r in serial)
+        assert [strip(r) for r in parallel] == [strip(r) for r in serial]
 
     def test_jobs_must_be_positive(self, tmp_path):
         with pytest.raises(InvalidInputError, match="jobs"):
