@@ -662,31 +662,32 @@ def meta_adapt(
     trained = AdaptResult(model, train_marginal)
     if not corrections.reweight:
         return trained
-    return reweight_result(trained, bundle, corrections.estimator, rlls_cfg, mlls_cfg)
+    return reweight_result(trained, bundle, model.predict(bundle.source_val.features),
+                           model.predict(bundle.target_test.features),
+                           corrections.estimator, rlls_cfg, mlls_cfg)
 
 
 def reweight_result(
     trained: AdaptResult,
     bundle: TaskBundle,
+    source_preds: PredictionMatrix,
+    target_preds: PredictionMatrix,
     estimator: str | None = None,
     rlls_cfg: RllsConfig = RllsConfig(),
     mlls_cfg: MllsConfig = MllsConfig(),
-    source_preds: PredictionMatrix | None = None,
-    target_preds: PredictionMatrix | None = None,
 ) -> AdaptResult:
     """The rw half of meta_adapt: estimate the target marginal from
-    source-val predictions plus unlabeled target-holdout predictions of
-    trained.model, floor it, and divide by the training prior to adjust
-    predictions. source_preds and target_preds, when given, are those
-    predictions already made, so arms sharing one model predict once.
-    Estimation failures leave the uncorrected model with a diagnostic."""
-    model = trained.model
+    trained.model's predictions on source-val (source_preds) and on the
+    unlabeled target holdout (target_preds), floor it, and divide by the
+    training prior to adjust predictions. Taking the predictions lets arms
+    that share one model predict once. Estimation failures leave the
+    uncorrected model with a diagnostic."""
     try:
         estimate = estimate_marginal(
             estimator or "rlls",
-            model.predict(bundle.source_val.features) if source_preds is None else source_preds,
+            source_preds,
             bundle.source_val.labels,
-            model.predict(bundle.target_test.features) if target_preds is None else target_preds,
+            target_preds,
             classifier_prior=trained.train_marginal,
             rlls_cfg=rlls_cfg,
             mlls_cfg=mlls_cfg,

@@ -17,7 +17,6 @@ import csv
 import json
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -475,8 +474,8 @@ def _run_group(cfg: GridConfig, bundle, cells: list[Cell], share: float) -> list
         try:
             result = trained
             if cell.corrections.reweight:
-                result = reweight_result(trained, bundle, cell.corrections.estimator,
-                                         source_preds=val_preds, target_preds=test_preds)
+                result = reweight_result(trained, bundle, val_preds, test_preds,
+                                         cell.corrections.estimator)
             metrics = evaluate(result.reweighted(test_preds), test.labels,
                                result.p_hat_t, bundle.true_target_marginal)
             records.append(RunRecord(
@@ -565,9 +564,11 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     coordinates: dict[tuple, list[Cell]] = {}
     for cell in todo:
         coordinates.setdefault((cell.task.name, cell.alpha, cell.seed), []).append(cell)
-    per_task = Counter(name for name, _, _ in coordinates)
+    per_task: dict[str, int] = {}
+    for name, _, _ in coordinates:
+        per_task[name] = per_task.get(name, 0) + 1
     pools = {task.name: SharedPools(task, per_task[task.name])
-             for task in cfg.tasks if task.data_dir is not None and per_task[task.name]}
+             for task in cfg.tasks if task.name in per_task and task.data_dir is not None}
 
     def run(group: list[Cell]) -> list[RunRecord]:
         shared = pools.get(group[0].task.name)
