@@ -571,10 +571,12 @@ def _default_weight_fn(
     labels_source: np.ndarray,
     preds_target: PredictionMatrix,
 ) -> np.ndarray:
-    out = estimate_marginal(
-        "rlls", preds_source, labels_source, preds_target, rlls_cfg=RllsConfig(lam=0.0)
-    )
-    return out.weights.weights
+    # RLLS's default regularization pulls the weights toward 1 when the
+    # model's confusion matrix says little, as the untrained model's does at
+    # epoch 0. Unregularized, that first estimate can land near a vertex
+    # (weights [0, 0.07, 2.9] against a true ratio of [2.4, 0.3, 0.3]) and
+    # leave the model below chance.
+    return estimate_marginal("rlls", preds_source, labels_source, preds_target).weights.weights
 
 
 def iw_erm_train(

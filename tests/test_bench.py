@@ -35,6 +35,7 @@ from labelshift.bench import (
 from labelshift.core import (
     DimensionError,
     InvalidInputError,
+    LabeledSet,
     LabelMarginal,
     PairingError,
     ParseError,
@@ -426,6 +427,29 @@ class TestRunGrid:
         assert len(serial) == 15 * 2
         assert all(r.error is None for r in serial)
         assert [strip(r) for r in parallel] == [strip(r) for r in serial]
+
+    def test_iw_erm_epoch_zero_weights_do_not_sink_the_model(self, tmp_path):
+        # A coordinate where unregularized RLLS on the untrained mlp returned
+        # weights [0, 0.07, 2.9] for a true ratio near [2.4, 0.3, 0.3], and
+        # iw_erm ended at 11% target accuracy: below chance.
+        gen = np.random.default_rng([1, 405])
+        pool_dir = tmp_path / "pools"
+        pool_dir.mkdir()
+        for part in ("source", "target"):
+            labels = gen.choice(3, size=2000, p=np.full(3, 1 / 3))
+            feats = gen.standard_normal((2000, 16))
+            feats[np.arange(2000), labels] += 2.5 / np.sqrt(2.0)
+            save_labeled_csv(pool_dir / f"{part}.csv", LabeledSet(feats, labels))
+        cfg = tiny_grid(
+            tmp_path, tasks=(GridTask(name="pool", data_dir=str(pool_dir)),),
+            alphas=(0.5,), seeds=(14,), seed=405, methods=("iw_erm",),
+            corrections=(CorrectionFlags(resample=True),), model_kind="mlp",
+            hidden_units=16,
+            train=TrainConfig(epochs=2, batch_size=128, learning_rate=0.5, l2=1e-4),
+        )
+        (rec,) = run_grid(cfg)
+        assert rec.true_marginal[0] > 0.75
+        assert rec.target_accuracy > 1 / 3
 
     def test_jobs_must_be_positive(self, tmp_path):
         with pytest.raises(InvalidInputError, match="jobs"):
