@@ -2,10 +2,11 @@
 
 A small grid covers every training path (source_only and pseudolabel under
 every correction and estimator, for both model kinds, one learning rate
-large enough to roll epochs back, and a few iw_erm cells) on one synthetic
-task and one dataset task whose pools are written here. Every field of every
-record except ``wall_time_seconds``, and every line of each summary CSV, must
-equal ``tests/golden/grid.json`` by ``repr``. A change that claims to keep
+large enough to roll epochs back, and a few iw_erm cells for each model
+kind) on one synthetic task and one dataset task whose pools are written
+here. Every field of every record except ``wall_time_seconds``, and every
+line of each summary CSV, must equal ``tests/golden/grid.json`` by ``repr``,
+and so must one grid's outputs when it runs on two workers. A change that claims to keep
 results identical must pass unchanged; only a deliberate change to results
 regenerates the file, with ``python tests/golden/regen.py``.
 """
@@ -66,6 +67,9 @@ def grid_configs(work: Path) -> dict[str, GridConfig]:
         train=TrainConfig(epochs=3, batch_size=64, learning_rate=0.5, l2=1e-4),
         pseudolabel=PseudoLabelConfig(tau=0.7, lambda_max=1.0),
     )
+    iw_erm = dict(common, tasks=(synth,), alphas=(0.5,), methods=("source_only", "iw_erm"),
+                  corrections=(ALL_CORRECTIONS[0], ALL_CORRECTIONS[3]), estimators=("rlls",),
+                  train=TrainConfig(epochs=2, batch_size=64))
     return {
         "logistic": GridConfig(**common, model_kind="logistic"),
         "mlp": GridConfig(**common, model_kind="mlp"),
@@ -74,29 +78,30 @@ def grid_configs(work: Path) -> dict[str, GridConfig]:
                                       train=TrainConfig(epochs=4, batch_size=64,
                                                         learning_rate=8.0, l2=1e-4)),
                                model_kind="mlp"),
-        "iw_erm": GridConfig(**dict(common, tasks=(synth,), alphas=(0.5,),
-                                    methods=("source_only", "iw_erm"),
-                                    corrections=(ALL_CORRECTIONS[0], ALL_CORRECTIONS[3]),
-                                    estimators=("rlls",),
-                                    train=TrainConfig(epochs=2, batch_size=64))),
+        "iw_erm": GridConfig(**iw_erm),
+        # The mlp's random init gives iw_erm non-unit class weights from
+        # epoch 0 on; the logistic model's zero init gives unit ones.
+        "iw_erm_mlp": GridConfig(**iw_erm, model_kind="mlp"),
     }
 
 
+def grid_outputs(cfg: GridConfig, out_dir: Path, jobs: int = 1) -> dict:
+    """One grid's records (without wall times) and summary CSV lines."""
+    records = run_grid(GridConfig(**{**cfg.__dict__, "output_dir": str(out_dir)}), jobs=jobs)
+    summary = out_dir / "summary.csv"
+    write_summary_csv(summary, aggregate(records))
+    rows = []
+    for r in records:
+        row = r.to_json_dict()
+        row.pop("wall_time_seconds", None)
+        rows.append(row)
+    return {"records": rows, "summary": summary.read_text().splitlines()}
+
+
 def compute_outputs(work: Path) -> dict:
-    """Every grid's records (without wall times) and summary CSV lines."""
-    out = {}
-    for name, cfg in grid_configs(work).items():
-        cfg = GridConfig(**{**cfg.__dict__, "output_dir": str(work / name)})
-        records = run_grid(cfg)
-        summary = work / name / "summary.csv"
-        write_summary_csv(summary, aggregate(records))
-        rows = []
-        for r in records:
-            row = r.to_json_dict()
-            row.pop("wall_time_seconds", None)
-            rows.append(row)
-        out[name] = {"records": rows, "summary": summary.read_text().splitlines()}
-    return out
+    """Every grid's outputs, by grid name."""
+    return {name: grid_outputs(cfg, work / name)
+            for name, cfg in grid_configs(work).items()}
 
 
 def build_info() -> dict:
@@ -142,3 +147,12 @@ def test_grid_outputs_match_golden(tmp_path):
         f"first difference: {found}\n(golden values made with {made_with}; "
         f"this run uses {build_info()})"
     )
+
+
+def test_parallel_grid_matches_golden(tmp_path):
+    # Two tasks, one of them read from pools, over two alphas: 4 coordinates
+    # shared between two workers.
+    golden = json.loads(GOLDEN_PATH.read_text())["outputs"]["mlp"]
+    actual = grid_outputs(grid_configs(tmp_path)["mlp"], tmp_path / "mlp", jobs=2)
+    found = first_difference(golden, actual, "outputs.mlp")
+    assert found is None, f"first difference: {found}"
