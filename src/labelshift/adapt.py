@@ -38,8 +38,6 @@ from labelshift.core import (
 )
 from labelshift.estimate import (
     EstimatorOutput,
-    MllsConfig,
-    RllsConfig,
     estimate_marginal,
 )
 from labelshift.shift import TaskBundle, _largest_remainder
@@ -622,8 +620,6 @@ def meta_adapt(
     cfg: TrainConfig,
     model_spec: ModelSpec | None = None,
     pl: PseudoLabelConfig = PseudoLabelConfig(),
-    rlls_cfg: RllsConfig = RllsConfig(),
-    mlls_cfg: MllsConfig = MllsConfig(),
 ) -> AdaptResult:
     """Run a training algorithm inside the correction loop.
 
@@ -666,7 +662,7 @@ def meta_adapt(
         return trained
     return reweight_result(trained, bundle, model.predict(bundle.source_val.features),
                            model.predict(bundle.target_test.features),
-                           corrections.estimator, rlls_cfg, mlls_cfg)
+                           corrections.estimator)
 
 
 def reweight_result(
@@ -675,8 +671,6 @@ def reweight_result(
     source_preds: PredictionMatrix,
     target_preds: PredictionMatrix,
     estimator: str | None = None,
-    rlls_cfg: RllsConfig = RllsConfig(),
-    mlls_cfg: MllsConfig = MllsConfig(),
 ) -> AdaptResult:
     """The rw half of meta_adapt: estimate the target marginal from
     trained.model's predictions on source-val (source_preds) and on the
@@ -691,8 +685,6 @@ def reweight_result(
             bundle.source_val.labels,
             target_preds,
             classifier_prior=trained.train_marginal,
-            rlls_cfg=rlls_cfg,
-            mlls_cfg=mlls_cfg,
         )
         floored = np.maximum(estimate.marginal.probs, MARGINAL_FLOOR)
         p_hat = LabelMarginal(floored / floored.sum())

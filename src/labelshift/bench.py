@@ -2,8 +2,8 @@
 corrections.
 
 Every cell derives its randomness from the top-level seed plus its own
-coordinates, so results are identical whether cells run serially, in a
-thread pool, or across resumed invocations. The unit of work is one (task,
+coordinates, so results are identical whether cells run serially, in worker
+processes, or across resumed invocations. The unit of work is one (task,
 alpha, seed) coordinate: its bundle is built once, one model is trained per
 (method, resample), and each reweighting arm corrects that model's
 predictions. Records append to a JSONL file as their coordinate completes;
@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -366,30 +365,6 @@ def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int
     return apply_shift_protocol(task.name, k, source_pool, target_pool, shift)
 
 
-class SharedPools:
-    """A dataset task's pools, read by the first of its coordinates that asks
-    and dropped after the last one is done, so a run parses them once. A
-    failed read is not kept: every coordinate then reports it."""
-
-    def __init__(self, task: GridTask, coordinates: int):
-        self._task = task
-        self._left = coordinates
-        self._pools = None
-        self._lock = threading.Lock()
-
-    def get(self) -> tuple[LabeledSet, LabeledSet]:
-        with self._lock:
-            if self._pools is None:
-                self._pools = load_pools(self._task)
-            return self._pools
-
-    def release(self) -> None:
-        with self._lock:
-            self._left -= 1
-            if self._left == 0:
-                self._pools = None
-
-
 def _cell_fields(cell: Cell) -> dict:
     return dict(
         task_id=cell.task.name,
@@ -413,12 +388,13 @@ def run_cell(cfg: GridConfig, cell: Cell) -> RunRecord:
 
 
 def run_coordinate(cfg: GridConfig, cells: list[Cell],
-                   pools: SharedPools | None = None) -> list[RunRecord]:
+                   pools: tuple[LabeledSet, LabeledSet] | None = None) -> list[RunRecord]:
     """Execute cells that share one (task, alpha, seed) coordinate, in their
     order: build the bundle once, train once per (method, resample), and
-    apply each reweighting arm to that model. A failure becomes an error
-    record for every cell it touches: the coordinate's at the bundle, the
-    group's at training, one cell's at its arm.
+    apply each reweighting arm to that model. A dataset task resamples the
+    given pools, or reads them when none are given. A failure becomes an
+    error record for every cell it touches: the coordinate's at the bundle,
+    the group's at training, one cell's at its arm.
 
     A cell's wall time is its even share of the bundle build, its even share
     of its group's training and predictions, and its own arm, so the cell
@@ -426,8 +402,7 @@ def run_coordinate(cfg: GridConfig, cells: list[Cell],
     first = cells[0]
     started = time.perf_counter()
     try:
-        bundle = build_bundle(cfg, first.task, first.alpha, first.seed,
-                              None if pools is None else pools.get())
+        bundle = build_bundle(cfg, first.task, first.alpha, first.seed, pools)
     except Exception as exc:  # the grid must survive any single coordinate
         share = (time.perf_counter() - started) / len(cells)
         return [_failed(cell, exc, share) for cell in cells]
@@ -525,16 +500,39 @@ def _record_order(record: RunRecord):
             record.method, record.corrections, record.estimator or "")
 
 
+def _pools_in_order(groups: list[list[Cell]]):
+    """Each coordinate's dataset pools, or None for a synthetic task. The
+    coordinates come task by task, so a task's pools are read when its first
+    coordinate comes up and dropped at the next task; a process pool's map
+    takes every argument up front, so with workers it holds them until their
+    coordinates finish. After a failed read, None lets each coordinate read
+    them itself and record the error."""
+    name, pools = None, None
+    for group in groups:
+        task = group[0].task
+        if task.name != name:
+            name, pools = task.name, None
+            if task.data_dir is not None:
+                try:
+                    pools = load_pools(task)
+                except Exception:  # reported by each of the task's coordinates
+                    pass
+        yield pools
+
+
 def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRecord]:
     """Run every planned cell, appending each record to
-    output_dir/results.jsonl through a single writer as its coordinate
-    completes. With jobs > 1, coordinates run in a thread pool.
+    output_dir/results.jsonl through a single writer, coordinate by
+    coordinate in plan order. With jobs > 1, up to jobs worker processes run
+    coordinates; the file order is the same as a serial run's.
 
     With resume=True, cells that already have a successful record are
     skipped and failed cells run again; a torn final line is cut off before
     appending. The result holds one record per planned cell, the latest one
     for a retried cell. Without resume, a nonempty results file is an error so
-    runs never silently mix configurations.
+    runs never silently mix configurations. A worker process that dies
+    raises concurrent.futures.process.BrokenProcessPool; the records already
+    written stay, and resume completes the grid.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
@@ -560,42 +558,29 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     latest = {r.key(): r for r in existing if r.key() in planned_keys}
     records = [r for r in latest.values() if r.error is None]
     done_keys = {r.key() for r in records}
-    todo = [c for c in cells if c.key() not in done_keys]
     coordinates: dict[tuple, list[Cell]] = {}
-    for cell in todo:
-        coordinates.setdefault((cell.task.name, cell.alpha, cell.seed), []).append(cell)
-    per_task: dict[str, int] = {}
-    for name, _, _ in coordinates:
-        per_task[name] = per_task.get(name, 0) + 1
-    pools = {task.name: SharedPools(task, per_task[task.name])
-             for task in cfg.tasks if task.name in per_task and task.data_dir is not None}
-
-    def run(group: list[Cell]) -> list[RunRecord]:
-        shared = pools.get(group[0].task.name)
-        try:
-            return run_coordinate(cfg, group, shared)
-        finally:
-            if shared is not None:
-                shared.release()
-
+    for cell in cells:
+        if cell.key() not in done_keys:
+            coordinates.setdefault((cell.task.name, cell.alpha, cell.seed), []).append(cell)
+    groups = list(coordinates.values())
+    workers = min(jobs, len(groups))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(results_path, "a") as fh:
-
-        def emit(record: RunRecord) -> None:
-            fh.write(json.dumps(record.to_json_dict()) + "\n")
-            fh.flush()
-            records.append(record)
-
-        if jobs == 1 or len(coordinates) <= 1:
-            for group in coordinates.values():
-                for record in run(group):
-                    emit(record)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as executor:
-                futures = [executor.submit(run, group) for group in coordinates.values()]
-                for future in as_completed(futures):
-                    for record in future.result():
-                        emit(record)
+    with ExitStack() as stack:
+        run_all = map
+        if workers > 1:
+            # Imported here: concurrent.futures.process loads multiprocessing
+            # (11-16 ms and 1 MB of peak memory), which a serial run never
+            # needs.
+            from concurrent.futures import ProcessPoolExecutor
+            run_all = stack.enter_context(ProcessPoolExecutor(workers)).map
+        fh = stack.enter_context(open(results_path, "a"))
+        # Both maps yield in submission order, so the file is in plan order.
+        for batch in run_all(run_coordinate, [cfg] * len(groups), groups,
+                             _pools_in_order(groups)):
+            for record in batch:
+                fh.write(json.dumps(record.to_json_dict()) + "\n")
+                fh.flush()
+            records.extend(batch)
     return sorted(records, key=_record_order)
 
 

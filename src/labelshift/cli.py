@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from labelshift.adapt import (
@@ -190,7 +191,11 @@ def cmd_run(args) -> int:
             print(" ".join(str(part) for part in cell.key()))
         print(f"{len(cells)} cells")
         return 0
-    records = run_grid(cfg, jobs=args.jobs, resume=args.resume)
+    try:
+        records = run_grid(cfg, jobs=args.jobs, resume=args.resume)
+    except BrokenExecutor as exc:
+        raise LabelShiftError(f"{exc} The records written so far are kept; rerun with "
+                              "--resume to finish the grid.") from None
     failed = [r for r in records if r.error is not None]
     out_dir = Path(cfg.output_dir)
     try:
@@ -302,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a benchmark grid from a JSON config")
     run.add_argument("--config", required=True, help="path to the grid config JSON")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker threads, each running one (task, alpha, seed) coordinate "
-                          "at a time (default 1)")
+                     help="run up to N (task, alpha, seed) coordinates at once in worker "
+                          "processes; results.jsonl keeps the serial order (default 1)")
     run.add_argument("--resume", action="store_true",
                      help="skip cells already present in the results file")
     run.add_argument("--dry-run", action="store_true",

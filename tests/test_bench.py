@@ -1,9 +1,12 @@
 """Grid runner, metrics, aggregation, and the prediction-dump format."""
 
 import json
+import multiprocessing
+import os
 import sys
 import threading
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +453,59 @@ class TestRunGrid:
         (rec,) = run_grid(cfg)
         assert rec.true_marginal[0] > 0.75
         assert rec.target_accuracy > 1 / 3
+
+    def test_parallel_file_keeps_plan_order(self, tmp_path):
+        def lines(jobs):
+            out = tmp_path / f"jobs{jobs}"
+            run_grid(tiny_grid(tmp_path, output_dir=str(out), alphas=(None, 10.0, 3.0, 1.0, 0.5),
+                               seeds=(0, 1)), jobs=jobs)
+            rows = [json.loads(line) for line in (out / RESULTS_FILENAME).read_text().splitlines()]
+            for row in rows:
+                row.pop("wall_time_seconds")
+            return rows
+
+        serial = lines(1)
+        assert len(serial) == 10 * 2
+        assert lines(2) == serial
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the monkeypatched build_bundle")
+    def test_dead_worker_raises_and_resume_completes(self, tmp_path, monkeypatch):
+        grid = dict(alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1))
+        serial = run_grid(tiny_grid(tmp_path, output_dir=str(tmp_path / "serial"), **grid))
+        original = bench_module.build_bundle
+
+        def dies(cfg, task, alpha, seed, pools=None):
+            if (alpha, seed) == (3.0, 1):
+                os._exit(1)
+            return original(cfg, task, alpha, seed, pools)
+
+        monkeypatch.setattr(bench_module, "build_bundle", dies)
+        cfg = tiny_grid(tmp_path, output_dir=str(tmp_path / "parallel"), **grid)
+        raised = []
+
+        def run():
+            try:
+                run_grid(cfg, jobs=2)
+            except BaseException as exc:  # handed to the test thread
+                raised.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+        written = read_records(tmp_path / "parallel" / RESULTS_FILENAME)
+        assert len(written) < len(serial)
+        monkeypatch.undo()
+        resumed = run_grid(cfg, jobs=2, resume=True)
+
+        def strip(rec):
+            d = rec.to_json_dict()
+            d.pop("wall_time_seconds", None)
+            return d
+
+        assert [strip(r) for r in resumed] == [strip(r) for r in serial]
 
     def test_jobs_must_be_positive(self, tmp_path):
         with pytest.raises(InvalidInputError, match="jobs"):

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: config parsing, exit codes, artifacts."""
 
 import json
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+import labelshift.bench as bench_module
 from labelshift.bench import SUMMARY_HEADER, read_records, write_predictions
 from labelshift.cli import main
 from labelshift.core import PredictionMatrix
@@ -156,6 +159,23 @@ class TestRun:
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--jobs", "4"]) == 0
         assert len((tmp_path / "out" / "results.jsonl").read_text().splitlines()) == 4
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the monkeypatched build_bundle")
+    def test_dead_worker_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        original = bench_module.build_bundle
+
+        def dies(cfg, task, alpha, seed, pools=None):
+            if alpha is not None:
+                os._exit(1)
+            return original(cfg, task, alpha, seed, pools)
+
+        monkeypatch.setattr(bench_module, "build_bundle", dies)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--resume" in err
 
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         assert main(["run", "--confg", "x"]) == 1

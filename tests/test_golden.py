@@ -6,9 +6,9 @@ large enough to roll epochs back, and a few iw_erm cells for each model
 kind) on one synthetic task and one dataset task whose pools are written
 here. Every field of every record except ``wall_time_seconds``, and every
 line of each summary CSV, must equal ``tests/golden/grid.json`` by ``repr``,
-and so must one grid's outputs when it runs on two workers. A change that claims to keep
-results identical must pass unchanged; only a deliberate change to results
-regenerates the file, with ``python tests/golden/regen.py``.
+and so must one grid's outputs when it runs on two workers. A change that
+claims to keep results identical must pass unchanged; only a deliberate
+change to results regenerates the file, with ``python tests/golden/regen.py``.
 """
 
 from __future__ import annotations
