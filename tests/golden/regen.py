@@ -25,8 +25,9 @@ def main() -> int:
         outputs = compute_outputs(Path(work))
     GOLDEN_PATH.write_text(json.dumps({"made_with": build_info(), "outputs": outputs},
                                       indent=1) + "\n")
-    cells = sum(len(grid["records"]) for grid in outputs.values())
-    print(f"wrote {GOLDEN_PATH.relative_to(ROOT)}: {cells} records")
+    cells = sum(len(out["records"]) for name, out in outputs.items() if name != "estimate")
+    print(f"wrote {GOLDEN_PATH.relative_to(ROOT)}: {cells} records, "
+          f"{len(outputs['estimate'])} estimates")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Golden outputs: grid records and summaries compared bit for bit.
+"""Golden outputs: grid records, summaries and estimates compared bit for bit.
 
 A small grid covers every training path (source_only and pseudolabel under
 every correction and estimator, for both model kinds, one learning rate
@@ -6,13 +6,17 @@ large enough to roll epochs back, and a few iw_erm cells for each model
 kind) on one synthetic task and one dataset task whose pools are written
 here. Every field of every record except ``wall_time_seconds``, and every
 line of each summary CSV, must equal ``tests/golden/grid.json`` by ``repr``,
-and so must one grid's outputs when it runs on two workers. A change that
+and so must one grid's outputs when it runs on two workers. So must the
+exit code and every stdout field of ``labelshift estimate`` for each
+estimator on fixed Bayes-posterior dumps at k = 3 and 10. A change that
 claims to keep results identical must pass unchanged; only a deliberate
 change to results regenerates the file, with ``python tests/golden/regen.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -25,9 +29,11 @@ from labelshift.bench import (
     GridTask,
     aggregate,
     run_grid,
+    write_predictions,
     write_summary_csv,
 )
-from labelshift.core import LabeledSet
+from labelshift.cli import main
+from labelshift.core import LabeledSet, PredictionMatrix
 from labelshift.shift import SynthTaskSpec, save_labeled_csv
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "grid.json"
@@ -36,6 +42,8 @@ ALL_CORRECTIONS = tuple(CorrectionFlags.from_label(label)
                         for label in ("none", "rs", "rw", "rs+rw"))
 ALL_ESTIMATORS = ("rlls", "mlls", "baseline")
 K, D, N = 3, 4, 400
+# `labelshift estimate` dumps: rows per dump, class counts, class separation.
+DUMP_N, DUMP_KS, DUMP_SEP = 500, (3, 10), 2.5
 
 
 def write_pools(directory: Path) -> None:
@@ -98,10 +106,48 @@ def grid_outputs(cfg: GridConfig, out_dir: Path, jobs: int = 1) -> dict:
     return {"records": rows, "summary": summary.read_text().splitlines()}
 
 
+def write_dumps(directory: Path, k: int) -> tuple[Path, Path]:
+    """Bayes posteriors under a uniform prior for k unit-covariance Gaussian
+    classes with means DUMP_SEP / sqrt(2) * e_j: a labeled source drawn
+    uniformly and a target drawn from a skewed marginal."""
+    directory.mkdir(parents=True, exist_ok=True)
+    gen = np.random.default_rng([20261019, k])
+    scale = DUMP_SEP / np.sqrt(2.0)
+    paths = []
+    for part, prior in (("source", np.full(k, 1.0 / k)),
+                        ("target", gen.dirichlet(np.full(k, 0.5)))):
+        labels = gen.choice(k, size=DUMP_N, p=prior)
+        scores = scale * gen.standard_normal((DUMP_N, k))
+        scores[np.arange(DUMP_N), labels] += scale * scale
+        posterior = np.exp(scores - scores.max(axis=1, keepdims=True))
+        path = directory / f"k{k}-{part}.csv"
+        write_predictions(path, PredictionMatrix(posterior / posterior.sum(axis=1, keepdims=True)),
+                          labels if part == "source" else None)
+        paths.append(path)
+    return paths[0], paths[1]
+
+
+def estimate_outputs(work: Path) -> dict:
+    """`labelshift estimate`'s exit code and parsed stdout, by k and estimator."""
+    outputs = {}
+    for k in DUMP_KS:
+        source, target = write_dumps(work, k)
+        for estimator in ALL_ESTIMATORS:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["estimate", "--source", str(source), "--target", str(target),
+                             "--estimator", estimator])
+            outputs[f"k{k}/{estimator}"] = {"exit_code": code,
+                                            "stdout": json.loads(stdout.getvalue())}
+    return outputs
+
+
 def compute_outputs(work: Path) -> dict:
-    """Every grid's outputs, by grid name."""
-    return {name: grid_outputs(cfg, work / name)
-            for name, cfg in grid_configs(work).items()}
+    """Every grid's outputs, by grid name, and the estimate outputs."""
+    outputs = {name: grid_outputs(cfg, work / name)
+               for name, cfg in grid_configs(work).items()}
+    outputs["estimate"] = estimate_outputs(work / "estimate")
+    return outputs
 
 
 def build_info() -> dict:
