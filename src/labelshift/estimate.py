@@ -4,7 +4,7 @@ Three interchangeable estimators, all black-box in the classifier:
 
 * ``rlls``: regularized least squares on the soft confusion matrix, with both
   norms squared, solved as projected gradient descent over the simplex.
-* ``mlls``: maximum-likelihood via an EM fixed point on target predictions.
+* ``mlls``: maximum-likelihood EM fixed point, two matrix-vector products a step.
 * ``baseline``: the mean target prediction, no correction for classifier error.
 
 ``estimate_marginal`` is the uniform entry point used by the adaptation loop
@@ -86,7 +86,7 @@ class MllsResult:
     converged: bool
     iterations: int
     # Mean log-likelihood per EM iterate, including the final one; length is
-    # iterations + 1. Non-decreasing up to float rounding.
+    # iterations + 1. Non-decreasing up to rounding while nothing is floored.
     log_likelihoods: tuple[float, ...] = ()
     floored: bool = False
 
@@ -241,11 +241,12 @@ def mlls_estimate(
     """Maximum-likelihood marginal via the EM fixed point.
 
     Iterates p(y) <- mean over target examples of the reweighted posterior
-    (p(y)/p_s(y)) f_y(x) / sum_y' (p(y')/p_s(y')) f_y'(x), starting from p_s,
-    until the l1 change drops below cfg.tol. The mean log-likelihood trace is
-    recorded per iterate and is non-decreasing (EM ascent). Consistency
-    assumes approximately calibrated predictions. Classes with p_s(y) = 0
-    have undefined ratios and stay pinned at 0.
+    r(y) f_y(x) / sum_y' r(y') f_y'(x), r = p / p_s, from p = p_s until the l1
+    change drops below cfg.tol. A step is two matrix-vector products on the
+    predictions F: denom = F r, then p <- r * (F^T (1 / denom)) / n. The mean
+    log-likelihood mean(log denom) is recorded per iterate; EM ascent keeps it
+    non-decreasing unless a denominator is floored. Consistency assumes roughly
+    calibrated predictions. Classes with p_s(y) = 0 have no ratio and stay 0.
     """
     if preds_target.k != p_s.k:
         raise DimensionError(f"predictions have k={preds_target.k}, marginal k={p_s.k}")
@@ -261,18 +262,17 @@ def mlls_estimate(
     iterations = 0
 
     def mean_ll(pvec: np.ndarray) -> tuple[float, np.ndarray]:
-        weighted = values * (pvec * inv_ps)
-        denom = weighted.sum(axis=1)
+        denom = values @ (pvec * inv_ps)
         nonlocal floored
         if denom.min() < MLLS_DENOMINATOR_FLOOR:
             floored = True
         denom = np.maximum(denom, MLLS_DENOMINATOR_FLOOR)
-        return float(np.log(denom).mean()), weighted / denom[:, None]
+        return float(np.log(denom).mean()), denom
 
     for iterations in range(1, cfg.max_iters + 1):
-        ll, posterior = mean_ll(p)
+        ll, denom = mean_ll(p)
         lls.append(ll)
-        p_next = posterior.mean(axis=0)
+        p_next = p * inv_ps * (values.T @ (1.0 / denom)) / preds_target.n
         # Flooring can leak mass from all-zero posteriors; exact EM sums to 1.
         total = p_next.sum()
         if total <= 0:

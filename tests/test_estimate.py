@@ -12,6 +12,7 @@ from labelshift.core import (
 )
 from labelshift.estimate import (
     ESTIMATORS,
+    MLLS_DENOMINATOR_FLOOR,
     MllsConfig,
     RllsConfig,
     baseline_estimate,
@@ -195,6 +196,77 @@ class TestMlls:
         preds = PredictionMatrix(np.array([[0.6, 0.2, 0.2], [0.1, 0.6, 0.3]]))
         res = mlls_estimate(preds, LabelMarginal(np.array([0.5, 0.5, 0.0])))
         assert res.marginal.probs[2] == 0.0
+
+
+
+def reference_mlls(preds, p_s, cfg=MllsConfig()):
+    """The EM step as the mean of the (n, k) reweighted posterior matrix:
+    mlls_estimate's earlier formulation, kept as its reference."""
+    values = preds.values
+    ps = p_s.probs
+    support = ps > 0
+    inv_ps = np.where(support, 1.0 / np.where(support, ps, 1.0), 0.0)
+    p = ps.copy()
+    lls = []
+    floored = False
+    converged = False
+
+    def mean_ll(pvec):
+        nonlocal floored
+        weighted = values * (pvec * inv_ps)
+        denom = weighted.sum(axis=1)
+        if denom.min() < MLLS_DENOMINATOR_FLOOR:
+            floored = True
+        denom = np.maximum(denom, MLLS_DENOMINATOR_FLOOR)
+        return float(np.log(denom).mean()), weighted / denom[:, None]
+
+    for iterations in range(1, cfg.max_iters + 1):
+        ll, posterior = mean_ll(p)
+        lls.append(ll)
+        p_next = posterior.mean(axis=0)
+        p_next = p_next / p_next.sum()
+        delta = float(np.abs(p_next - p).sum())
+        p = p_next
+        if delta < cfg.tol:
+            converged = True
+            break
+    lls.append(mean_ll(p)[0])
+    return p, iterations, converged, floored, lls
+
+
+def mlls_case(name):
+    if name == "k50_zero_support":
+        rng = np.random.default_rng(16)
+        p_s = rng.dirichlet(np.full(50, 2.0))
+        p_s[7] = 0.0
+        preds = rng.dirichlet(np.full(50, 0.3), size=1000)
+        return PredictionMatrix(preds), LabelMarginal(p_s / p_s.sum())
+    rng = np.random.default_rng(17)
+    if name == "k3":
+        preds = rng.dirichlet(np.full(3, 0.6), size=400)
+        return PredictionMatrix(preds), LabelMarginal(rng.dirichlet(np.full(3, 4.0)))
+    # Rows with all their mass on the zero-support class have a zero
+    # denominator; rows with 1e-14 on every supported class have one below
+    # the floor, so the floor loses part of their posterior mass.
+    preds = rng.dirichlet(np.full(4, 0.5), size=300)
+    preds[:10] = [0.0, 0.0, 0.0, 1.0]
+    if name == "floored_below":
+        preds[10:20] = [1e-14, 1e-14, 1e-14, 1.0 - 3e-14]
+    return PredictionMatrix(preds), LabelMarginal(np.array([0.4, 0.3, 0.3, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["k50_zero_support", "floored_zero", "floored_below", "k3"])
+def test_mlls_matches_posterior_mean_reference(name):
+    preds, p_s = mlls_case(name)
+    p, iterations, converged, floored, lls = reference_mlls(preds, p_s)
+    res = mlls_estimate(preds, p_s)
+    assert np.abs(res.marginal.probs - p).sum() <= 1e-14
+    assert (res.iterations, res.converged, res.floored) == (iterations, converged, floored)
+    assert floored == name.startswith("floored")
+    np.testing.assert_allclose(res.log_likelihoods, lls, rtol=0, atol=1e-14)
+    assert np.all(res.marginal.probs[p_s.probs == 0] == 0.0)
+    if name != "floored_below":  # a floored nonzero denominator breaks EM's ascent
+        assert np.diff(res.log_likelihoods).min() >= -8 * np.finfo(float).eps
 
 
 class TestEstimateMarginal:
