@@ -3,11 +3,15 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labelshift
 import labelshift.bench as bench_module
 from labelshift.bench import SUMMARY_HEADER, read_records, write_predictions
 from labelshift.cli import main
@@ -340,3 +344,14 @@ class TestReport:
     def test_report_missing_results(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_python_dash_m_labelshift_runs_the_cli():
+    src = str(Path(labelshift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "labelshift", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: labelshift ")
+    assert "RuntimeWarning" not in proc.stderr
