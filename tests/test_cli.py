@@ -348,8 +348,8 @@ class TestReport:
 
 def test_python_dash_m_labelshift_runs_the_cli():
     src = str(Path(labelshift.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "labelshift", "--help"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0

@@ -198,7 +198,6 @@ class TestMlls:
         assert res.marginal.probs[2] == 0.0
 
 
-
 def reference_mlls(preds, p_s, cfg=MllsConfig()):
     """The EM step as the mean of the (n, k) reweighted posterior matrix:
     mlls_estimate's earlier formulation, kept as its reference."""
