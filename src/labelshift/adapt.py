@@ -78,7 +78,6 @@ class TrainConfig:
     learning_rate: float = 0.5
     l2: float = 1e-4
     seed: int = 0
-    early_stop_on_source_val: bool = True
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -419,7 +418,8 @@ def _train(
     reduction identities bit-exact. A step computes only loss_and_grad's
     gradient and the safeguard only its objective, each on the rows and in
     the order loss_and_grad would see them, so both are bit for bit what
-    loss_and_grad returns."""
+    loss_and_grad returns. The model keeps the parameters of the epoch with
+    the best source-validation accuracy, the earliest on a tie."""
     if train.d != spec.input_dim:
         raise DimensionError("training features disagree with the model spec")
     if train.labels.max() >= spec.classes:
@@ -472,8 +472,7 @@ def _train(
         log.append(acc)
         if acc > best_acc:
             best_acc, best_params = acc, params
-    final = best_params if cfg.early_stop_on_source_val else params
-    return Model(spec, final, tuple(log), tuple(losses))
+    return Model(spec, best_params, tuple(log), tuple(losses))
 
 
 def train_erm(

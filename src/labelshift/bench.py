@@ -451,6 +451,9 @@ def _run_group(cfg: GridConfig, bundle, cells: list[Cell], share: float) -> list
             if cell.corrections.reweight:
                 result = reweight_result(trained, bundle, val_preds, test_preds,
                                          cell.corrections.estimator)
+                if result.p_hat_t is None:
+                    # Estimation failed and left the model uncorrected.
+                    raise LabelShiftError(result.diagnostics[0])
             metrics = evaluate(result.reweighted(test_preds), test.labels,
                                result.p_hat_t, bundle.true_target_marginal)
             records.append(RunRecord(
@@ -584,17 +587,17 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     return sorted(records, key=_record_order)
 
 
-def aggregate(records, baselines=None) -> list[Summary]:
+def aggregate(records) -> list[Summary]:
     """Group successful records by (alpha, method, corrections, estimator)
-    and summarize relative accuracy and marginal l1 error. Quartiles use
-    linear interpolation between order statistics. Records that failed are
-    skipped; a missing baseline is an error."""
+    and summarize relative accuracy and marginal l1 error against the
+    uncorrected source_only record of the same (task, alpha, seed). Quartiles
+    use linear interpolation between order statistics. Records that failed
+    are skipped; a missing baseline is an error."""
     records = [r for r in records if r.error is None]
-    if baselines is None:
-        baselines = [r for r in records
-                     if r.method == "source_only" and r.corrections == "none"]
     by_key = {}
-    for b in baselines:
+    for b in records:
+        if b.method != "source_only" or b.corrections != "none":
+            continue
         key = (b.task_id, b.alpha, b.seed)
         if key in by_key:
             raise PairingError(f"duplicate baseline for cell {key}")

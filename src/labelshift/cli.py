@@ -51,7 +51,7 @@ from labelshift.core import (
     PairingError,
     ParseError,
 )
-from labelshift.estimate import ESTIMATORS, RllsConfig, estimate_marginal
+from labelshift.estimate import ESTIMATORS, estimate_marginal
 from labelshift.shift import (
     ShiftSpec,
     SynthTaskSpec,
@@ -71,7 +71,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
+def _check_keys(obj, allowed: set, required: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ParseError(f"{where}: unknown key {unknown[0]!r}")
@@ -80,39 +82,53 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str) -> None:
         raise ParseError(f"{where}: missing required key {missing[0]!r}")
 
 
+def _cast(kind, value, where: str):
+    """kind(value) for an int or float field, a failed cast as a ParseError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _field(obj: dict, key: str, kind, where: str, default=None):
+    return _cast(kind, obj.get(key, default), f"{where}.{key}")
+
+
+def _list(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list):
+        raise ParseError(f"{key}: expected a list")
+    return doc[key]
+
+
 def _parse_task(entry, index: int) -> GridTask:
     where = f"tasks[{index}]"
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: task entries must be objects")
-    if "data_dir" in entry:
+    if isinstance(entry, dict) and "data_dir" in entry:
         _check_keys(entry, {"name", "data_dir", "epsilon"}, {"name", "data_dir"}, where)
-        return GridTask(
-            name=entry["name"],
-            data_dir=entry["data_dir"],
-            epsilon=float(entry.get("epsilon", 0.0)),
-        )
+        return GridTask(name=entry["name"], data_dir=entry["data_dir"],
+                        epsilon=_field(entry, "epsilon", float, where, 0.0))
     allowed = {"name", "k", "d", "n_source", "n_target", "class_separation", "epsilon"}
     _check_keys(entry, allowed, {"name", "k", "d", "n_source", "n_target"}, where)
     synth = SynthTaskSpec(
         name=entry["name"],
-        k=int(entry["k"]),
-        d=int(entry["d"]),
-        n_source=int(entry["n_source"]),
-        n_target=int(entry["n_target"]),
-        class_separation=float(entry.get("class_separation", 2.0)),
+        k=_field(entry, "k", int, where),
+        d=_field(entry, "d", int, where),
+        n_source=_field(entry, "n_source", int, where),
+        n_target=_field(entry, "n_target", int, where),
+        class_separation=_field(entry, "class_separation", float, where, 2.0),
     )
     return GridTask(name=entry["name"], synth=synth,
-                    epsilon=float(entry.get("epsilon", 0.0)))
+                    epsilon=_field(entry, "epsilon", float, where, 0.0))
 
 
 def _parse_corrections(entry, index: int) -> CorrectionFlags:
     where = f"corrections[{index}]"
-    if isinstance(entry, str):
-        return CorrectionFlags.from_label(entry)
+    estimator = None
     if isinstance(entry, dict):
         _check_keys(entry, {"flags", "estimator"}, {"flags"}, where)
-        return CorrectionFlags.from_label(entry["flags"], estimator=entry.get("estimator"))
-    raise ParseError(f"{where}: expected a flags string or an object")
+        entry, estimator = entry["flags"], entry.get("estimator")
+    if not isinstance(entry, str):
+        raise ParseError(f"{where}: expected a flags string or an object")
+    return CorrectionFlags.from_label(entry, estimator=estimator)
 
 
 _TOP_KEYS = {"seed", "output_dir", "tasks", "alphas", "seeds", "methods",
@@ -120,65 +136,60 @@ _TOP_KEYS = {"seed", "output_dir", "tasks", "alphas", "seeds", "methods",
 
 
 def load_grid_config(path) -> GridConfig:
-    """Parse and strictly validate a grid configuration document."""
+    """Parse and strictly validate a grid configuration document: every axis
+    is a list, every section and task entry an object, and every number
+    casts to its type; a violation is a ParseError naming the key."""
     path = Path(path)
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
     _check_keys(doc, _TOP_KEYS, {"tasks"}, str(path))
 
     kwargs = {}
-    kwargs["tasks"] = tuple(_parse_task(t, i) for i, t in enumerate(doc["tasks"]))
+    kwargs["tasks"] = tuple(_parse_task(t, i) for i, t in enumerate(_list(doc, "tasks")))
     if "alphas" in doc:
-        kwargs["alphas"] = tuple(None if a is None else float(a) for a in doc["alphas"])
+        kwargs["alphas"] = tuple(None if a is None else _cast(float, a, f"alphas[{i}]")
+                                 for i, a in enumerate(_list(doc, "alphas")))
     if "seeds" in doc:
-        kwargs["seeds"] = tuple(int(s) for s in doc["seeds"])
+        kwargs["seeds"] = tuple(_cast(int, s, f"seeds[{i}]")
+                                for i, s in enumerate(_list(doc, "seeds")))
     if "methods" in doc:
-        kwargs["methods"] = tuple(doc["methods"])
+        kwargs["methods"] = tuple(_list(doc, "methods"))
     if "corrections" in doc:
         kwargs["corrections"] = tuple(
-            _parse_corrections(c, i) for i, c in enumerate(doc["corrections"])
+            _parse_corrections(c, i) for i, c in enumerate(_list(doc, "corrections"))
         )
     if "estimators" in doc:
-        kwargs["estimators"] = tuple(doc["estimators"])
-    kwargs["seed"] = int(doc.get("seed", 0))
+        kwargs["estimators"] = tuple(_list(doc, "estimators"))
+    kwargs["seed"] = _cast(int, doc.get("seed", 0), "seed")
     if "output_dir" in doc:
         kwargs["output_dir"] = doc["output_dir"]
 
     model = doc.get("model", {})
     _check_keys(model, {"kind", "hidden_units"}, set(), "model")
     kwargs["model_kind"] = model.get("kind", "logistic")
-    kwargs["hidden_units"] = int(model.get("hidden_units", 32))
+    kwargs["hidden_units"] = _field(model, "hidden_units", int, "model", 32)
 
     train = doc.get("train", {})
-    _check_keys(
-        train,
-        {"epochs", "batch_size", "learning_rate", "l2", "early_stop_on_source_val"},
-        set(),
-        "train",
-    )
+    _check_keys(train, {"epochs", "batch_size", "learning_rate", "l2"}, set(), "train")
     defaults = TrainConfig()
     kwargs["train"] = TrainConfig(
-        epochs=int(train.get("epochs", defaults.epochs)),
-        batch_size=int(train.get("batch_size", defaults.batch_size)),
-        learning_rate=float(train.get("learning_rate", defaults.learning_rate)),
-        l2=float(train.get("l2", defaults.l2)),
-        early_stop_on_source_val=bool(
-            train.get("early_stop_on_source_val", defaults.early_stop_on_source_val)
-        ),
+        epochs=_field(train, "epochs", int, "train", defaults.epochs),
+        batch_size=_field(train, "batch_size", int, "train", defaults.batch_size),
+        learning_rate=_field(train, "learning_rate", float, "train", defaults.learning_rate),
+        l2=_field(train, "l2", float, "train", defaults.l2),
     )
 
     pl = doc.get("pseudolabel", {})
     _check_keys(pl, {"tau", "lambda_max", "ramp_fraction"}, set(), "pseudolabel")
     pl_defaults = PseudoLabelConfig()
     kwargs["pseudolabel"] = PseudoLabelConfig(
-        tau=float(pl.get("tau", pl_defaults.tau)),
-        lambda_max=float(pl.get("lambda_max", pl_defaults.lambda_max)),
-        ramp_fraction=float(pl.get("ramp_fraction", pl_defaults.ramp_fraction)),
+        tau=_field(pl, "tau", float, "pseudolabel", pl_defaults.tau),
+        lambda_max=_field(pl, "lambda_max", float, "pseudolabel", pl_defaults.lambda_max),
+        ramp_fraction=_field(pl, "ramp_fraction", float, "pseudolabel",
+                             pl_defaults.ramp_fraction),
     )
     return GridConfig(**kwargs)
 
@@ -211,7 +222,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    rlls_cfg = RllsConfig() if args.lam is None else RllsConfig(lam=args.lam)
     preds_source, labels = ingest_predictions(args.source, normalize=args.normalize)
     if labels is None:
         raise InvalidInputError(
@@ -223,7 +233,7 @@ def cmd_estimate(args) -> int:
         p_s = LabelMarginal([float(v) for v in args.p_source.split(",")])
     try:
         out = estimate_marginal(args.estimator, preds_source, labels, preds_target,
-                                p_s=p_s, rlls_cfg=rlls_cfg)
+                                p_s=p_s, lam=args.lam)
     except (DegenerateEstimateError, DivergedError) as exc:
         # Estimation-level failure: report it, but distinguish it from bad
         # inputs via the dedicated exit code.

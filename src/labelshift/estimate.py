@@ -8,7 +8,9 @@ Three interchangeable estimators, all black-box in the classifier:
 * ``baseline``: the mean target prediction, no correction for classifier error.
 
 ``estimate_marginal`` is the uniform entry point used by the adaptation loop
-and the CLI.
+and the CLI. Its one setting is rlls's penalty ``lam``; the iteration caps and
+stopping tolerances of both iterative estimators are the module constants
+below.
 """
 
 from __future__ import annotations
@@ -32,42 +34,18 @@ from labelshift.core import (
 
 ESTIMATORS = ("rlls", "mlls", "baseline")
 
+# RLLS stops when a projected-gradient step moves q by less than this in l1,
+# or after RLLS_MAX_ITERS steps.
+RLLS_MAX_ITERS = 10000
+RLLS_STEP_TOLERANCE = 1e-10
+
+# MLLS stops when an EM step moves the marginal by less than this in l1, or
+# after MLLS_MAX_ITERS steps.
+MLLS_TOL = 1e-8
+MLLS_MAX_ITERS = 10000
+
 # Floor applied to EM denominators before taking logs.
 MLLS_DENOMINATOR_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class RllsConfig:
-    """Settings for the least-squares weight estimator.
-
-    The objective is ||C w - mu||^2 + lam * ||w - 1||^2 over feasible w.
-    lam=None selects the rate default 1/sqrt(n) from the sample count attached
-    to the confusion matrix (0 if the matrix carries no count).
-    """
-
-    lam: float | None = None
-    max_iters: int = 10000
-    step_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.lam is not None and not (np.isfinite(self.lam) and self.lam >= 0):
-            raise InvalidInputError("lam must be finite and nonnegative, or None")
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
-        if not (np.isfinite(self.step_tolerance) and self.step_tolerance > 0):
-            raise InvalidInputError("step_tolerance must be finite and positive")
-
-
-@dataclass(frozen=True)
-class MllsConfig:
-    tol: float = 1e-8
-    max_iters: int = 10000
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise InvalidInputError("tol must be finite and positive")
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +107,6 @@ def mean_prediction(preds: PredictionMatrix) -> LabelMarginal:
     return LabelMarginal(preds.values.mean(axis=0))
 
 
-# The uncorrected estimate reads the target marginal off the mean prediction.
-baseline_estimate = mean_prediction
-
-
 def _spectral_norm(m: np.ndarray) -> float:
     # Power iteration on a symmetric PSD matrix, deterministic start.
     v = np.full(m.shape[0], 1.0 / np.sqrt(m.shape[0]))
@@ -155,21 +129,32 @@ def _coerce_confusion(confusion) -> tuple[np.ndarray, tuple[int, ...]]:
     return matrix, zero
 
 
+def _check_lam(lam) -> None:
+    if lam is not None and not (np.isfinite(lam) and lam >= 0):
+        raise InvalidInputError("lam must be finite and nonnegative, or None")
+
+
 def rlls_estimate(
     confusion,
     mu,
     p_s: LabelMarginal,
-    cfg: RllsConfig = RllsConfig(),
+    lam: float | None = None,
     n_source_val: int | None = None,
 ) -> RllsResult:
     """Estimate importance weights from moments: find feasible w with C w ~ mu.
 
+    The objective is ||C w - mu||^2 + lam * ||w - 1||^2 over feasible w.
+    lam must be finite and nonnegative; None selects the rate default
+    1/sqrt(n) from n_source_val (0 when no count is given).
+
     The feasible set {w >= 0, sum_y w(y) p_s(y) = 1} maps to the probability
     simplex under q(y) = w(y) p_s(y), so the solver runs projected gradient
-    descent in q with step size 1/L from a power-iteration bound. Classes with
-    zero source mass stay pinned at q = 0; if target predictions still put
-    mass there the problem is unidentifiable and the result is flagged
-    ill-conditioned (best-effort weights are returned either way).
+    descent in q with step size 1/L from a power-iteration bound, until a step
+    moves q by less than RLLS_STEP_TOLERANCE in l1 or RLLS_MAX_ITERS steps
+    have run. Classes with zero source mass stay pinned at q = 0; if target
+    predictions still put mass there the problem is unidentifiable and the
+    result is flagged ill-conditioned (best-effort weights are returned
+    either way).
     """
     matrix, zero_cols = _coerce_confusion(confusion)
     mu_vec = mu.probs if isinstance(mu, LabelMarginal) else np.asarray(mu, dtype=np.float64)
@@ -179,8 +164,7 @@ def rlls_estimate(
         raise DimensionError(f"confusion shape {matrix.shape} does not match k={k}")
     if mu_vec.size != k:
         raise DimensionError(f"mu has {mu_vec.size} entries for k={k}")
-
-    lam = cfg.lam
+    _check_lam(lam)
     if lam is None:
         lam = 1.0 / np.sqrt(n_source_val) if n_source_val else 0.0
 
@@ -208,16 +192,16 @@ def rlls_estimate(
         converged = True
     else:
         step = 1.0 / lipschitz
-        for iterations in range(1, cfg.max_iters + 1):
+        for iterations in range(1, RLLS_MAX_ITERS + 1):
             grad = 2.0 * (a_mat.T @ (a_mat @ q - mu_vec)) + 2.0 * lam * d_inv * (d_inv * q - 1.0)
             q_next = project_simplex(q - step * grad)
             moved = float(np.abs(q_next - q).sum())
             q = q_next
-            if moved < cfg.step_tolerance:
+            if moved < RLLS_STEP_TOLERANCE:
                 converged = True
                 break
     if not converged:
-        diagnostics.append(f"did not converge within {cfg.max_iters} iterations")
+        diagnostics.append(f"did not converge within {RLLS_MAX_ITERS} iterations")
 
     w = np.zeros(k)
     w[active] = q / ps[active]
@@ -233,20 +217,17 @@ def rlls_estimate(
     )
 
 
-def mlls_estimate(
-    preds_target: PredictionMatrix,
-    p_s: LabelMarginal,
-    cfg: MllsConfig = MllsConfig(),
-) -> MllsResult:
+def mlls_estimate(preds_target: PredictionMatrix, p_s: LabelMarginal) -> MllsResult:
     """Maximum-likelihood marginal via the EM fixed point.
 
     Iterates p(y) <- mean over target examples of the reweighted posterior
     r(y) f_y(x) / sum_y' r(y') f_y'(x), r = p / p_s, from p = p_s until the l1
-    change drops below cfg.tol. A step is two matrix-vector products on the
-    predictions F: denom = F r, then p <- r * (F^T (1 / denom)) / n. The mean
-    log-likelihood mean(log denom) is recorded per iterate; EM ascent keeps it
-    non-decreasing unless a denominator is floored. Consistency assumes roughly
-    calibrated predictions. Classes with p_s(y) = 0 have no ratio and stay 0.
+    change drops below MLLS_TOL or MLLS_MAX_ITERS steps have run. A step is
+    two matrix-vector products on the predictions F: denom = F r, then
+    p <- r * (F^T (1 / denom)) / n. The mean log-likelihood mean(log denom) is
+    recorded per iterate; EM ascent keeps it non-decreasing unless a
+    denominator is floored. Consistency assumes roughly calibrated
+    predictions. Classes with p_s(y) = 0 have no ratio and stay 0.
     """
     if preds_target.k != p_s.k:
         raise DimensionError(f"predictions have k={preds_target.k}, marginal k={p_s.k}")
@@ -269,7 +250,7 @@ def mlls_estimate(
         denom = np.maximum(denom, MLLS_DENOMINATOR_FLOOR)
         return float(np.log(denom).mean()), denom
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MLLS_MAX_ITERS + 1):
         ll, denom = mean_ll(p)
         lls.append(ll)
         p_next = p * inv_ps * (values.T @ (1.0 / denom)) / preds_target.n
@@ -280,7 +261,7 @@ def mlls_estimate(
         p_next = p_next / total
         delta = float(np.abs(p_next - p).sum())
         p = p_next
-        if delta < cfg.tol:
+        if delta < MLLS_TOL:
             converged = True
             break
     lls.append(mean_ll(p)[0])
@@ -313,8 +294,7 @@ def estimate_marginal(
     preds_target: PredictionMatrix,
     p_s: LabelMarginal | None = None,
     classifier_prior: LabelMarginal | None = None,
-    rlls_cfg: RllsConfig = RllsConfig(),
-    mlls_cfg: MllsConfig = MllsConfig(),
+    lam: float | None = None,
 ) -> EstimatorOutput:
     """Run one of the named estimators and return marginal plus weights.
 
@@ -322,12 +302,14 @@ def estimate_marginal(
     classifier_prior is the label marginal the classifier was trained on
     (uniform when training was class-balanced); it only affects mlls, whose
     ratio p(y)/prior(y) refers to the training prior. rlls and baseline are
-    prior-free in the classifier.
+    prior-free in the classifier. lam is the rlls penalty (None for its
+    sample-count default); it is checked for every estimator.
     """
     if estimator not in ESTIMATORS:
         raise InvalidInputError(
             f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
         )
+    _check_lam(lam)
     if preds_source_val.k != preds_target.k:
         raise DimensionError(
             f"source predictions have k={preds_source_val.k}, target k={preds_target.k}"
@@ -340,7 +322,7 @@ def estimate_marginal(
     if estimator == "rlls":
         confusion = soft_confusion(preds_source_val, labels_source_val)
         mu = mean_prediction(preds_target)
-        res = rlls_estimate(confusion, mu, p_s, rlls_cfg, n_source_val=preds_source_val.n)
+        res = rlls_estimate(confusion, mu, p_s, lam, n_source_val=preds_source_val.n)
         marginal = weights_to_marginal(res.weights, p_s)
         return EstimatorOutput(
             estimator="rlls",
@@ -350,13 +332,13 @@ def estimate_marginal(
             diagnostics=res.diagnostics,
         )
     if estimator == "mlls":
-        res = mlls_estimate(preds_target, classifier_prior, mlls_cfg)
+        res = mlls_estimate(preds_target, classifier_prior)
         diagnostics: tuple[str, ...] = ()
         if res.floored:
             diagnostics = ("EM denominators hit the numerical floor",)
         if not res.converged:
             diagnostics = diagnostics + (
-                f"EM did not converge within {mlls_cfg.max_iters} iterations",
+                f"EM did not converge within {MLLS_MAX_ITERS} iterations",
             )
         return EstimatorOutput(
             estimator="mlls",

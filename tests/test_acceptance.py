@@ -42,7 +42,6 @@ from labelshift.bench import (
 )
 from labelshift.core import LabelMarginal, PredictionMatrix, RngStream, project_simplex
 from labelshift.estimate import (
-    RllsConfig,
     estimate_marginal,
     mlls_estimate,
     rlls_estimate,
@@ -206,7 +205,7 @@ def _consistency_errors(m: int, n_seeds: int = 20) -> dict[str, float]:
         for est in ("rlls", "mlls"):
             out = estimate_marginal(
                 est, preds_s, ys, preds_t,
-                classifier_prior=_C4_UNIFORM, rlls_cfg=RllsConfig(lam=0.0),
+                classifier_prior=_C4_UNIFORM, lam=0.0,
             )
             errs[est].append(float(np.abs(out.marginal.probs - p_t).sum()))
     return {est: float(np.mean(v)) for est, v in errs.items()}
@@ -243,7 +242,7 @@ def _rlls_vs_solve(k: int, n_instances: int) -> float:
         cols = 0.55 * np.eye(k) + 0.45 * gen.dirichlet(np.full(k, 4.0), size=k).T
         confusion = cols * p_s[None, :]
         mu = confusion @ w_star
-        result = rlls_estimate(confusion, mu, LabelMarginal(p_s), RllsConfig(lam=0.0))
+        result = rlls_estimate(confusion, mu, LabelMarginal(p_s), lam=0.0)
         direct = np.linalg.solve(confusion, mu)
         worst = max(worst, float(np.abs(result.weights.weights - direct).max()))
     return worst

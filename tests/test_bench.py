@@ -36,6 +36,7 @@ from labelshift.bench import (
     write_summary_csv,
 )
 from labelshift.core import (
+    DegenerateEstimateError,
     DimensionError,
     InvalidInputError,
     LabeledSet,
@@ -389,6 +390,26 @@ class TestRunGrid:
         assert all(r.error == "RuntimeError: no balanced pseudo-labels today"
                    for r in records if r.key() in failed)
         assert all(r.target_accuracy is not None for r in records if r.key() not in failed)
+
+    def test_failed_estimate_fails_only_its_arm(self, tmp_path, monkeypatch):
+        cfg = self.all_arms_grid(tmp_path)
+        original = adapt_module.estimate_marginal
+
+        def no_mlls(estimator, *args, **kwargs):
+            if estimator == "mlls":
+                raise DegenerateEstimateError("EM posterior collapsed to zero mass")
+            return original(estimator, *args, **kwargs)
+
+        monkeypatch.setattr(adapt_module, "estimate_marginal", no_mlls)
+        records = run_grid(cfg)
+        failed = [r for r in records if r.error is not None]
+        assert {r.key() for r in failed} == {r.key() for r in records if r.estimator == "mlls"}
+        assert len(failed) == 2 * 2 * 2
+        for r in failed:
+            assert r.error == ("LabelShiftError: marginal estimation failed: "
+                               "EM posterior collapsed to zero mass")
+            assert r.target_accuracy is None and r.estimated_marginal is None
+        assert all(r.target_accuracy is not None for r in records if r.error is None)
 
     def test_threads_read_each_pool_once(self, tmp_path, monkeypatch):
         pool_dir = tmp_path / "pools"

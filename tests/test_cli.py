@@ -13,6 +13,7 @@ import pytest
 
 import labelshift
 import labelshift.bench as bench_module
+import labelshift.estimate as estimate_module
 from labelshift.bench import SUMMARY_HEADER, read_records, write_predictions
 from labelshift.cli import main
 from labelshift.core import PredictionMatrix
@@ -86,6 +87,22 @@ class TestRun:
         config = write_config(tmp_path, train={"epochs": 2, "momentum": 0.9})
         assert main(["run", "--config", str(config)]) == 1
         assert "momentum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, where", [
+        ({"train": []}, "train"),
+        ({"alphas": 5}, "alphas"),
+        ({"tasks": 3}, "tasks"),
+        ({"tasks": [{"name": "blob", "k": [3], "d": 2, "n_source": 120,
+                     "n_target": 120}]}, "tasks[0].k"),
+        ({"model": "mlp"}, "model"),
+        ({"corrections": [{"flags": 5}]}, "corrections[0]"),
+    ])
+    def test_wrongly_typed_value_is_a_one_line_error(self, tmp_path, capsys, override,
+                                                     where):
+        config = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(config), "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
     def test_bad_corrections_token(self, tmp_path, capsys):
         config = write_config(tmp_path, corrections=["rs+magic"])
@@ -268,6 +285,25 @@ class TestEstimate:
         assert code == 3
         assert payload["diagnostics"]
         assert "marginal" in payload
+
+    @pytest.mark.parametrize("estimator, cap, message", [
+        ("rlls", "RLLS_MAX_ITERS", "did not converge within 1 iterations"),
+        ("mlls", "MLLS_MAX_ITERS", "EM did not converge within 1 iterations"),
+    ])
+    def test_iteration_cap_exits_three(self, tmp_path, capsys, monkeypatch, estimator,
+                                       cap, message):
+        monkeypatch.setattr(estimate_module, cap, 1)
+        rng = np.random.default_rng(3)
+        source, target = tmp_path / "source.csv", tmp_path / "target.csv"
+        write_predictions(source, PredictionMatrix(rng.dirichlet(np.ones(3), size=60)),
+                          labels=rng.integers(0, 3, size=60))
+        write_predictions(target, PredictionMatrix(rng.dirichlet(np.ones(3), size=80)))
+        code = main(["estimate", "--source", str(source), "--target", str(target),
+                     "--estimator", estimator])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert payload["converged"] is False
+        assert message in payload["diagnostics"]
 
     def test_p_source_override_parses(self, tmp_path, capsys):
         source = one_hot_dump(tmp_path, "source.csv", [6, 4])

@@ -10,12 +10,12 @@ from labelshift.core import (
     l1_distance,
     weights_to_marginal,
 )
+import labelshift.estimate as estimate_module
 from labelshift.estimate import (
     ESTIMATORS,
     MLLS_DENOMINATOR_FLOOR,
-    MllsConfig,
-    RllsConfig,
-    baseline_estimate,
+    MLLS_MAX_ITERS,
+    MLLS_TOL,
     estimate_marginal,
     mean_prediction,
     mlls_estimate,
@@ -73,7 +73,6 @@ class TestSoftConfusion:
 def test_mean_prediction_column_means():
     preds = PredictionMatrix(np.array([[0.6, 0.4], [0.2, 0.8]]))
     np.testing.assert_allclose(mean_prediction(preds).probs, [0.4, 0.6], atol=1e-12)
-    np.testing.assert_allclose(baseline_estimate(preds).probs, [0.4, 0.6], atol=1e-12)
 
 
 class TestRlls:
@@ -81,20 +80,20 @@ class TestRlls:
         confusion = np.array([[0.45, 0.05], [0.05, 0.45]])
         mu = np.array([0.26, 0.74])
         p_s = LabelMarginal(np.array([0.5, 0.5]))
-        res = rlls_estimate(confusion, mu, p_s, RllsConfig(lam=0.0))
+        res = rlls_estimate(confusion, mu, p_s, lam=0.0)
         np.testing.assert_allclose(res.weights.weights, [0.4, 1.6], atol=1e-4)
         assert res.converged
 
     def test_diagonal_confusion(self):
         confusion = np.diag([0.5, 0.5])
         p_s = LabelMarginal(np.array([0.5, 0.5]))
-        res = rlls_estimate(confusion, np.array([0.3, 0.7]), p_s, RllsConfig(lam=0.0))
+        res = rlls_estimate(confusion, np.array([0.3, 0.7]), p_s, lam=0.0)
         np.testing.assert_allclose(res.weights.weights, [0.6, 1.4], atol=1e-4)
 
     def test_huge_regularization_pins_unit_weights(self):
         confusion = np.array([[0.45, 0.05], [0.05, 0.45]])
         p_s = LabelMarginal(np.array([0.5, 0.5]))
-        res = rlls_estimate(confusion, np.array([0.26, 0.74]), p_s, RllsConfig(lam=1e6))
+        res = rlls_estimate(confusion, np.array([0.26, 0.74]), p_s, lam=1e6)
         np.testing.assert_allclose(res.weights.weights, [1.0, 1.0], atol=1e-3)
 
     def test_output_always_feasible(self):
@@ -103,7 +102,7 @@ class TestRlls:
             k = int(rng.integers(2, 6))
             confusion, mu, p_s, _ = random_instance(rng, k, n=200)
             lam = float(rng.choice([0.0, 0.01, 1.0]))
-            res = rlls_estimate(confusion, mu, p_s, RllsConfig(lam=lam))
+            res = rlls_estimate(confusion, mu, p_s, lam=lam)
             w = res.weights.weights
             assert np.all(w >= 0)
             assert w @ p_s.probs == pytest.approx(1.0, abs=1e-6)
@@ -112,7 +111,7 @@ class TestRlls:
         rng = np.random.default_rng(23)
         for trial in range(10):
             confusion, mu, p_s, w_true = random_instance(rng, k=3, n=500)
-            res = rlls_estimate(confusion, mu, p_s, RllsConfig(lam=0.0))
+            res = rlls_estimate(confusion, mu, p_s, lam=0.0)
             oracle = np.linalg.solve(confusion.matrix, mu)
             np.testing.assert_allclose(res.weights.weights, oracle, atol=1e-3)
             np.testing.assert_allclose(oracle, w_true, atol=1e-9)
@@ -121,46 +120,62 @@ class TestRlls:
         confusion = np.array([[0.5, 0.0], [0.3, 0.0]])
         # No validation path here: raw matrix with a dead second class.
         p_s = LabelMarginal(np.array([0.8, 0.2]))
-        res = rlls_estimate(confusion, np.array([0.5, 0.5]), p_s, RllsConfig(lam=0.1))
+        res = rlls_estimate(confusion, np.array([0.5, 0.5]), p_s, lam=0.1)
         assert res.ill_conditioned
         assert res.diagnostics
         assert np.all(res.weights.weights >= 0)
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_bad_lam_rejected(self, lam):
+        confusion = np.array([[0.45, 0.05], [0.05, 0.45]])
+        p_s = LabelMarginal(np.array([0.5, 0.5]))
+        with pytest.raises(InvalidInputError, match="lam"):
+            rlls_estimate(confusion, np.array([0.3, 0.7]), p_s, lam=lam)
+
     def test_default_lam_uses_sample_count(self):
         rng = np.random.default_rng(5)
         confusion, mu, p_s, _ = random_instance(rng, k=2, n=400)
-        res_default = rlls_estimate(confusion, mu, p_s, RllsConfig(), n_source_val=400)
-        res_explicit = rlls_estimate(confusion, mu, p_s, RllsConfig(lam=1.0 / np.sqrt(400)))
+        res_default = rlls_estimate(confusion, mu, p_s, n_source_val=400)
+        res_explicit = rlls_estimate(confusion, mu, p_s, lam=1.0 / np.sqrt(400))
         np.testing.assert_allclose(res_default.weights.weights, res_explicit.weights.weights)
 
 
 class TestConfigs:
+    """RLLS's penalty lam is the one estimator setting; estimate_marginal
+    checks it before dispatching, so every estimator rejects a bad value."""
+
+    PREDS = PredictionMatrix(np.array([[0.6, 0.4], [0.3, 0.7]]))
+
     @pytest.mark.parametrize("kwargs, field", [
         ({"lam": float("nan")}, "lam"),
         ({"lam": float("inf")}, "lam"),
         ({"lam": -0.1}, "lam"),
-        ({"max_iters": 0}, "max_iters"),
-        ({"step_tolerance": 0.0}, "step_tolerance"),
-        ({"step_tolerance": float("nan")}, "step_tolerance"),
     ])
     def test_rlls_config_rejects(self, kwargs, field):
-        with pytest.raises(InvalidInputError, match=field):
-            RllsConfig(**kwargs)
-
-    @pytest.mark.parametrize("kwargs, field", [
-        ({"tol": 0.0}, "tol"),
-        ({"tol": float("nan")}, "tol"),
-        ({"tol": float("inf")}, "tol"),
-        ({"max_iters": 0}, "max_iters"),
-    ])
-    def test_mlls_config_rejects(self, kwargs, field):
-        with pytest.raises(InvalidInputError, match=field):
-            MllsConfig(**kwargs)
+        for name in ESTIMATORS:
+            with pytest.raises(InvalidInputError, match=field):
+                estimate_marginal(name, self.PREDS, [0, 1], self.PREDS, **kwargs)
 
     def test_valid_configs_construct(self):
-        assert RllsConfig().lam is None
-        assert RllsConfig(lam=0.0, max_iters=1, step_tolerance=1e-3).lam == 0.0
-        assert MllsConfig(tol=1e-3, max_iters=1).tol == 1e-3
+        for name in ESTIMATORS:
+            for lam in (None, 0.0, 1e6):
+                out = estimate_marginal(name, self.PREDS, [0, 1], self.PREDS, lam=lam)
+                assert out.estimator == name
+
+
+@pytest.mark.parametrize("estimator, cap, message", [
+    ("rlls", "RLLS_MAX_ITERS", "did not converge within 1 iterations"),
+    ("mlls", "MLLS_MAX_ITERS", "EM did not converge within 1 iterations"),
+])
+def test_iteration_cap_is_reported(monkeypatch, estimator, cap, message):
+    monkeypatch.setattr(estimate_module, cap, 1)
+    rng = np.random.default_rng(3)
+    preds_src = PredictionMatrix(rng.dirichlet(np.ones(3), size=60))
+    labels = rng.integers(0, 3, size=60)
+    preds_tgt = PredictionMatrix(rng.dirichlet(np.ones(3), size=80))
+    out = estimate_marginal(estimator, preds_src, labels, preds_tgt)
+    assert not out.converged
+    assert message in out.diagnostics
 
 
 class TestMlls:
@@ -198,7 +213,7 @@ class TestMlls:
         assert res.marginal.probs[2] == 0.0
 
 
-def reference_mlls(preds, p_s, cfg=MllsConfig()):
+def reference_mlls(preds, p_s):
     """The EM step as the mean of the (n, k) reweighted posterior matrix:
     mlls_estimate's earlier formulation, kept as its reference."""
     values = preds.values
@@ -219,14 +234,14 @@ def reference_mlls(preds, p_s, cfg=MllsConfig()):
         denom = np.maximum(denom, MLLS_DENOMINATOR_FLOOR)
         return float(np.log(denom).mean()), weighted / denom[:, None]
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, MLLS_MAX_ITERS + 1):
         ll, posterior = mean_ll(p)
         lls.append(ll)
         p_next = posterior.mean(axis=0)
         p_next = p_next / p_next.sum()
         delta = float(np.abs(p_next - p).sum())
         p = p_next
-        if delta < cfg.tol:
+        if delta < MLLS_TOL:
             converged = True
             break
     lls.append(mean_ll(p)[0])
@@ -284,7 +299,7 @@ class TestEstimateMarginal:
         preds_tgt = PredictionMatrix(eye[tgt_labels])
         for name in ESTIMATORS:
             out = estimate_marginal(name, preds_src, src_labels, preds_tgt,
-                                    rlls_cfg=RllsConfig(lam=0.0))
+                                    lam=0.0)
             np.testing.assert_allclose(out.marginal.probs, [0.25, 0.75], atol=1e-5)
             np.testing.assert_allclose(out.weights.weights, [0.5, 1.5], atol=1e-4)
 
