@@ -94,6 +94,12 @@ def _field(obj: dict, key: str, kind, where: str, default=None):
     return _cast(kind, obj.get(key, default), f"{where}.{key}")
 
 
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def _list(doc: dict, key: str) -> list:
     if not isinstance(doc[key], list):
         raise ParseError(f"{key}: expected a list")
@@ -104,19 +110,21 @@ def _parse_task(entry, index: int) -> GridTask:
     where = f"tasks[{index}]"
     if isinstance(entry, dict) and "data_dir" in entry:
         _check_keys(entry, {"name", "data_dir", "epsilon"}, {"name", "data_dir"}, where)
-        return GridTask(name=entry["name"], data_dir=entry["data_dir"],
+        return GridTask(name=_str(entry["name"], f"{where}.name"),
+                        data_dir=_str(entry["data_dir"], f"{where}.data_dir"),
                         epsilon=_field(entry, "epsilon", float, where, 0.0))
     allowed = {"name", "k", "d", "n_source", "n_target", "class_separation", "epsilon"}
     _check_keys(entry, allowed, {"name", "k", "d", "n_source", "n_target"}, where)
+    name = _str(entry["name"], f"{where}.name")
     synth = SynthTaskSpec(
-        name=entry["name"],
+        name=name,
         k=_field(entry, "k", int, where),
         d=_field(entry, "d", int, where),
         n_source=_field(entry, "n_source", int, where),
         n_target=_field(entry, "n_target", int, where),
         class_separation=_field(entry, "class_separation", float, where, 2.0),
     )
-    return GridTask(name=entry["name"], synth=synth,
+    return GridTask(name=name, synth=synth,
                     epsilon=_field(entry, "epsilon", float, where, 0.0))
 
 
@@ -165,11 +173,11 @@ def load_grid_config(path) -> GridConfig:
         kwargs["estimators"] = tuple(_list(doc, "estimators"))
     kwargs["seed"] = _cast(int, doc.get("seed", 0), "seed")
     if "output_dir" in doc:
-        kwargs["output_dir"] = doc["output_dir"]
+        kwargs["output_dir"] = _str(doc["output_dir"], "output_dir")
 
     model = doc.get("model", {})
     _check_keys(model, {"kind", "hidden_units"}, set(), "model")
-    kwargs["model_kind"] = model.get("kind", "logistic")
+    kwargs["model_kind"] = _str(model.get("kind", "logistic"), "model.kind")
     kwargs["hidden_units"] = _field(model, "hidden_units", int, "model", 32)
 
     train = doc.get("train", {})

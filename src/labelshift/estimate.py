@@ -3,14 +3,13 @@
 Three interchangeable estimators, all black-box in the classifier:
 
 * ``rlls``: regularized least squares on the soft confusion matrix, with both
-  norms squared, solved as projected gradient descent over the simplex.
+  norms squared, solved exactly over the simplex by a primal active-set method.
 * ``mlls``: maximum-likelihood EM fixed point, two matrix-vector products a step.
 * ``baseline``: the mean target prediction, no correction for classifier error.
 
 ``estimate_marginal`` is the uniform entry point used by the adaptation loop
-and the CLI. Its one setting is rlls's penalty ``lam``; the iteration caps and
-stopping tolerances of both iterative estimators are the module constants
-below.
+and the CLI. Its one setting is rlls's penalty ``lam``; the iteration caps of
+both estimators and mlls's stopping tolerance are the module constants below.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ from labelshift.core import (
 
 ESTIMATORS = ("rlls", "mlls", "baseline")
 
-# RLLS stops when a projected-gradient step moves q by less than this in l1,
-# or after RLLS_MAX_ITERS steps.
+# Guard cap on the active-set changes of RLLS's solve. The method ends at the
+# optimum after finitely many; the tests see at most 2k.
 RLLS_MAX_ITERS = 10000
-RLLS_STEP_TOLERANCE = 1e-10
 
 # MLLS stops when an EM step moves the marginal by less than this in l1, or
 # after MLLS_MAX_ITERS steps.
@@ -107,18 +105,59 @@ def mean_prediction(preds: PredictionMatrix) -> LabelMarginal:
     return LabelMarginal(preds.values.mean(axis=0))
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    # Power iteration on a symmetric PSD matrix, deterministic start.
-    v = np.full(m.shape[0], 1.0 / np.sqrt(m.shape[0]))
-    lam = 0.0
-    for _ in range(100):
-        mv = m @ v
-        norm = float(np.linalg.norm(mv))
-        if norm == 0.0:
-            return 0.0
-        v = mv / norm
-        lam = norm
-    return lam
+def _simplex_qp(hess: np.ndarray, lin: np.ndarray, q: np.ndarray,
+                solve) -> tuple[np.ndarray, bool, int]:
+    """Minimize q'Hq/2 - lin'q over the simplex by a primal active-set method
+    from the feasible point q; return (q, converged, active-set changes).
+
+    Coordinates are free or fixed at zero. Each step solves the KKT system
+    of the equality QP on the free ones, for the step d and the multiplier
+    nu of sum(q) = 1: H_FF d_F + nu = (lin - H q)_F, sum(d_F) = 0, with
+    solve(matrix, rhs). If d drives a free coordinate negative, the step
+    stops at the boundary and fixes the first one to reach it. Otherwise the
+    full step lands on the face's optimum, where each fixed coordinate's
+    multiplier H q - lin + nu must be nonnegative; the most negative one is
+    freed. Each fix or free is one change; the solve stops at optimality,
+    or unconverged rather than make change RLLS_MAX_ITERS + 1 (Lawson &
+    Hanson 1974, with the equality constraint added as in Nocedal & Wright,
+    Algorithm 16.3).
+    """
+    # Multipliers above -tol count as zero; tol sits well above the rounding
+    # in H q - lin.
+    tol = 1e-12 * (np.abs(hess).max() + np.abs(lin).max())
+    fixed = np.zeros(q.size, dtype=bool)
+    changes = 0
+    converged = False
+    while True:
+        free = np.flatnonzero(~fixed)
+        kkt = np.ones((free.size + 1, free.size + 1))
+        kkt[:-1, :-1] = hess[np.ix_(free, free)]
+        kkt[-1, -1] = 0.0
+        rhs = np.zeros(free.size + 1)
+        rhs[:-1] = lin[free] - hess[free] @ q
+        step = solve(kkt, rhs)
+        target = q.copy()
+        target[free] += step[:-1]
+        blocking = free[target[free] < 0.0]
+        if blocking.size:
+            ratios = q[blocking] / (q[blocking] - target[blocking])
+            change = blocking[np.argmin(ratios)]
+            q = np.maximum(q + ratios.min() * (target - q), 0.0)
+            q[change] = 0.0
+        else:
+            q = target
+            multipliers = hess[fixed] @ q - lin[fixed] + step[-1]
+            if not fixed.any() or multipliers.min() >= -tol:
+                converged = True
+                break
+            change = np.flatnonzero(fixed)[np.argmin(multipliers)]
+        if changes == RLLS_MAX_ITERS:
+            break
+        fixed[change] = not fixed[change]
+        changes += 1
+    # Clean the rounding in sum(q) = 1; fixed coordinates stay exactly zero.
+    q[~fixed] = project_simplex(q[~fixed])
+    return q, converged, changes
 
 
 def _coerce_confusion(confusion) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -148,10 +187,14 @@ def rlls_estimate(
     1/sqrt(n) from n_source_val (0 when no count is given).
 
     The feasible set {w >= 0, sum_y w(y) p_s(y) = 1} maps to the probability
-    simplex under q(y) = w(y) p_s(y), so the solver runs projected gradient
-    descent in q with step size 1/L from a power-iteration bound, until a step
-    moves q by less than RLLS_STEP_TOLERANCE in l1 or RLLS_MAX_ITERS steps
-    have run. Classes with zero source mass stay pinned at q = 0; if target
+    simplex under q(y) = w(y) p_s(y), where the objective is the convex
+    quadratic ||A q - mu||^2 + lam * ||D q - 1||^2 with A = C diag(1/p_s) and
+    D = diag(1/p_s). A primal active-set method solves it exactly from
+    q = p_s; ``iterations`` counts its active-set changes, and ``converged``
+    is false only if RLLS_MAX_ITERS of them did not reach the optimum. One
+    simplex projection cleans the rounding at the end. At lam = 0 the
+    quadratic can be singular, and the steps are then least-norm solutions.
+    Classes with zero source mass stay pinned at q = 0; if target
     predictions still put mass there the problem is unidentifiable and the
     result is flagged ill-conditioned (best-effort weights are returned
     either way).
@@ -182,26 +225,23 @@ def rlls_estimate(
     a_mat = matrix[:, active] / ps[active][None, :]
     d_inv = 1.0 / ps[active]
 
-    q = ps[active].copy()
-    converged = False
-    iterations = 0
     hess = a_mat.T @ a_mat + lam * np.diag(d_inv**2)
-    lipschitz = 2.0 * _spectral_norm(hess) * 1.05
-    if lipschitz == 0.0:
+    q = ps[active]
+    if not hess.any():
         diagnostics.append("degenerate problem: zero curvature, returning w = 1")
-        converged = True
+        converged, iterations = True, 0
     else:
-        step = 1.0 / lipschitz
-        for iterations in range(1, RLLS_MAX_ITERS + 1):
-            grad = 2.0 * (a_mat.T @ (a_mat @ q - mu_vec)) + 2.0 * lam * d_inv * (d_inv * q - 1.0)
-            q_next = project_simplex(q - step * grad)
-            moved = float(np.abs(q_next - q).sum())
-            q = q_next
-            if moved < RLLS_STEP_TOLERANCE:
-                converged = True
-                break
-    if not converged:
-        diagnostics.append(f"did not converge within {RLLS_MAX_ITERS} iterations")
+        solve = np.linalg.solve
+        if lam == 0 and np.linalg.matrix_rank(hess) < active.size:
+            # A singular A'A (a constant classifier makes A's columns alike)
+            # leaves the optimum non-unique, and an LU solve turns rounding
+            # into large steps. Least-norm steps leave q in place along the
+            # directions where the objective is flat.
+            def solve(matrix, rhs):
+                return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+        q, converged, iterations = _simplex_qp(hess, a_mat.T @ mu_vec + lam * d_inv, q, solve)
+        if not converged:
+            diagnostics.append(f"did not converge within {RLLS_MAX_ITERS} iterations")
 
     w = np.zeros(k)
     w[active] = q / ps[active]

@@ -96,6 +96,12 @@ class TestRun:
                      "n_target": 120}]}, "tasks[0].k"),
         ({"model": "mlp"}, "model"),
         ({"corrections": [{"flags": 5}]}, "corrections[0]"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"tasks": [{"name": 7, "k": 2, "d": 2, "n_source": 120, "n_target": 120}]},
+         "tasks[0].name"),
+        ({"tasks": [{"name": "pool", "data_dir": 5}]}, "tasks[0].data_dir"),
+        ({"tasks": [{"name": 7, "data_dir": "pools"}]}, "tasks[0].name"),
+        ({"model": {"kind": ["mlp"]}}, "model.kind"),
     ])
     def test_wrongly_typed_value_is_a_one_line_error(self, tmp_path, capsys, override,
                                                      where):
@@ -292,14 +298,17 @@ class TestEstimate:
     ])
     def test_iteration_cap_exits_three(self, tmp_path, capsys, monkeypatch, estimator,
                                        cap, message):
+        # RLLS's optimum at lambda 0 has two zero coordinates here, so its
+        # active-set solve needs two changes and a cap of one stops it.
         monkeypatch.setattr(estimate_module, cap, 1)
         rng = np.random.default_rng(3)
+        labels = rng.integers(0, 4, size=60)
         source, target = tmp_path / "source.csv", tmp_path / "target.csv"
-        write_predictions(source, PredictionMatrix(rng.dirichlet(np.ones(3), size=60)),
-                          labels=rng.integers(0, 3, size=60))
-        write_predictions(target, PredictionMatrix(rng.dirichlet(np.ones(3), size=80)))
+        write_predictions(source, PredictionMatrix(0.5 * rng.dirichlet(np.ones(4), size=60)
+                                                   + 0.5 * np.eye(4)[labels]), labels=labels)
+        write_predictions(target, PredictionMatrix(np.eye(4)[rng.integers(0, 2, size=80)]))
         code = main(["estimate", "--source", str(source), "--target", str(target),
-                     "--estimator", estimator])
+                     "--estimator", estimator, "--lambda", "0"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 3
         assert payload["converged"] is False

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from labelshift.adapt import Model, ModelSpec, init_parameters
 from labelshift.core import (
     DimensionError,
     ImportanceWeights,
     InvalidInputError,
     LabelMarginal,
     PredictionMatrix,
+    RngStream,
     l1_distance,
+    project_simplex,
     weights_to_marginal,
 )
 import labelshift.estimate as estimate_module
@@ -140,6 +143,158 @@ class TestRlls:
         np.testing.assert_allclose(res_default.weights.weights, res_explicit.weights.weights)
 
 
+def bayes_posteriors(gen, k, n, prior, sep=2.0):
+    """Bayes posteriors under a uniform prior for k unit-covariance Gaussian
+    classes with means sep / sqrt(2) * e_j, drawn with the given class prior."""
+    labels = gen.choice(k, size=n, p=prior)
+    scale = sep / np.sqrt(2.0)
+    scores = scale * gen.standard_normal((n, k))
+    scores[np.arange(n), labels] += scale * scale
+    posterior = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return PredictionMatrix(posterior / posterior.sum(axis=1, keepdims=True)), labels
+
+
+def rlls_problem(k, seed, n=1000, missing_class=None):
+    """A labeled source with a uniform prior and a target drawn from a skewed
+    Dirichlet marginal, so that some optimal coordinates sit at zero."""
+    gen = np.random.default_rng([seed, k])
+    preds, labels = bayes_posteriors(gen, k, n, np.full(k, 1.0 / k))
+    if missing_class is not None:
+        labels[labels == missing_class] = (missing_class + 1) % k
+    target, _ = bayes_posteriors(gen, k, n, gen.dirichlet(np.full(k, 0.5)))
+    return (soft_confusion(preds, labels), mean_prediction(target).probs,
+            LabelMarginal.from_labels(labels, k), n)
+
+
+def rlls_objective_terms(confusion, mu, p_s, lam):
+    """H, lin and the constant of the RLLS objective q'Hq - 2 lin'q + c in
+    q = w * p_s, over the classes with source support."""
+    sup = p_s.probs > 0
+    a = confusion.matrix[:, sup] / p_s.probs[sup]
+    d_inv = 1.0 / p_s.probs[sup]
+    hess = a.T @ a + lam * np.diag(d_inv**2)
+    return sup, hess, a.T @ mu + lam * d_inv, mu @ mu + lam * d_inv.size
+
+
+def pgd_reference(hess, lin, q, max_iters=200_000):
+    """Projected gradient descent on the simplex with step 1/L, run until a
+    step moves q by less than 1e-15 in l1."""
+    step = 1.0 / np.linalg.eigvalsh(hess)[-1]
+    for _ in range(max_iters):
+        q_next = project_simplex(q - step * (hess @ q - lin))
+        if np.abs(q_next - q).sum() < 1e-15:
+            return q_next
+        q = q_next
+    return q
+
+
+def check_rlls_optimal(confusion, mu, p_s, lam):
+    """Feasibility, KKT and an objective no worse than a tight PGD reference;
+    returns the result."""
+    res = rlls_estimate(confusion, mu, p_s, lam=lam)
+    assert res.converged
+    sup, hess, lin, const = rlls_objective_terms(confusion, mu, p_s, lam)
+    q = res.weights.weights[sup] * p_s.probs[sup]
+    assert q.min() >= 0.0
+    assert abs(q.sum() - 1.0) <= 1e-12
+    assert np.all(res.weights.weights[~sup] == 0.0)
+    # KKT: the half gradient H q - lin equals -nu on positive coordinates
+    # and is at least -nu on zero ones.
+    grad = hess @ q - lin
+    nu = -grad[np.argmax(q)]
+    tol = 1e-9 * (np.abs(hess).max() + np.abs(lin).max())
+    assert np.abs(grad[q > 0] + nu).max() <= tol
+    assert np.all(grad[q == 0] + nu >= -tol)
+
+    def objective(v):
+        return float(v @ hess @ v - 2.0 * lin @ v + const)
+
+    assert objective(q) == pytest.approx(res.objective, rel=1e-9, abs=1e-14)
+    assert objective(q) <= objective(pgd_reference(hess, lin, p_s.probs[sup])) + 1e-12
+    return res
+
+
+class TestRllsActiveSet:
+    """The active-set solve returns the exact constrained optimum."""
+
+    @pytest.mark.parametrize("k", [3, 10, 50])
+    @pytest.mark.parametrize("lam_kind", ["zero", "default", "small"])
+    def test_random_problems_are_solved_exactly(self, k, lam_kind):
+        for seed in range(2):
+            confusion, mu, p_s, n = rlls_problem(k, seed)
+            lam = {"zero": 0.0, "default": 1.0 / np.sqrt(n), "small": 1.0 / (n * k * k)}[lam_kind]
+            check_rlls_optimal(confusion, mu, p_s, lam)
+
+    def test_a_fixed_coordinate_is_freed_again(self):
+        # Each change fixes or frees one coordinate, so more changes than
+        # zeros at the optimum means some coordinate was fixed and then freed.
+        confusion, mu, p_s, _ = rlls_problem(50, 4)
+        res = check_rlls_optimal(confusion, mu, p_s, 0.0)
+        assert res.iterations > np.count_nonzero(res.weights.weights == 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01])
+    def test_zero_support_class(self, lam):
+        confusion, mu, p_s, _ = rlls_problem(10, 5, missing_class=4)
+        assert p_s.probs[4] == 0.0 and confusion.zero_classes == (4,)
+        res = check_rlls_optimal(confusion, mu, p_s, lam)
+        assert res.ill_conditioned
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_constant_classifier_takes_the_least_squares_path(self, monkeypatch, k):
+        # Every row predicts the same vector, so A'A has rank one and every
+        # feasible q fits equally well; the least-norm steps keep w = 1.
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        labels = np.arange(30 * k) % k
+        row = np.random.default_rng(k).dirichlet(np.ones(k))
+        confusion = soft_confusion(PredictionMatrix(np.tile(row, (labels.size, 1))), labels)
+        mu = np.random.default_rng(k + 1).dirichlet(np.ones(k))
+        res = check_rlls_optimal(confusion, mu, LabelMarginal.from_labels(labels, k), 0.0)
+        assert calls
+        np.testing.assert_allclose(res.weights.weights, 1.0, atol=1e-12)
+
+
+class TestRllsChangesAtSmallLam:
+    """At lam = 1/(n k^2) the penalty no longer dominates the data term; the
+    solve must still end within 2k active-set changes."""
+
+    def test_bayes_posteriors_at_k50(self):
+        k = 50
+        for seed in range(3):
+            confusion, mu, p_s, n = rlls_problem(k, 100 + seed, n=2000)
+            res = rlls_estimate(confusion, mu, p_s, lam=1.0 / (n * k * k))
+            assert res.converged
+            assert res.iterations <= 2 * k
+
+    @pytest.mark.parametrize("k", [3, 10, 50])
+    def test_untrained_mlp_epoch_zero_estimate(self, k):
+        # iw_erm's first weight estimate: source-train and target predictions
+        # of a freshly initialized network.
+        gen = np.random.default_rng([7, k])
+        d, n = 16, 2000
+        spec = ModelSpec("mlp", input_dim=d, classes=k, hidden_units=16)
+        model = Model(spec, init_parameters(spec, RngStream(k).derive("init")))
+
+        def draw(prior):
+            labels = gen.choice(k, size=n, p=prior)
+            feats = gen.standard_normal((n, d))
+            feats[np.arange(n), labels % d] += 2.0
+            return model.predict(feats), labels
+
+        preds_src, labels = draw(np.full(k, 1.0 / k))
+        preds_tgt, _ = draw(gen.dirichlet(np.full(k, 0.5)))
+        res = rlls_estimate(soft_confusion(preds_src, labels), mean_prediction(preds_tgt),
+                            LabelMarginal.from_labels(labels, k), lam=1.0 / (n * k * k))
+        assert res.converged
+        assert res.iterations <= 2 * k
+
+
 class TestConfigs:
     """RLLS's penalty lam is the one estimator setting; estimate_marginal
     checks it before dispatching, so every estimator rejects a bad value."""
@@ -163,17 +318,29 @@ class TestConfigs:
                 assert out.estimator == name
 
 
+def cap_inputs():
+    """An informative k=4 classifier and a target predicted only as classes
+    0 and 1: RLLS's optimum at lam = 0 has two zero coordinates, so its
+    active-set solve needs at least two changes."""
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 4, size=60)
+    preds_src = 0.5 * rng.dirichlet(np.ones(4), size=60) + 0.5 * np.eye(4)[labels]
+    preds_tgt = np.eye(4)[rng.integers(0, 2, size=80)]
+    return PredictionMatrix(preds_src), labels, PredictionMatrix(preds_tgt)
+
+
 @pytest.mark.parametrize("estimator, cap, message", [
     ("rlls", "RLLS_MAX_ITERS", "did not converge within 1 iterations"),
     ("mlls", "MLLS_MAX_ITERS", "EM did not converge within 1 iterations"),
 ])
 def test_iteration_cap_is_reported(monkeypatch, estimator, cap, message):
+    preds_src, labels, preds_tgt = cap_inputs()
+    uncapped = estimate_marginal(estimator, preds_src, labels, preds_tgt, lam=0.0)
+    assert uncapped.converged
+    if estimator == "rlls":
+        assert np.count_nonzero(uncapped.weights.weights == 0.0) == 2
     monkeypatch.setattr(estimate_module, cap, 1)
-    rng = np.random.default_rng(3)
-    preds_src = PredictionMatrix(rng.dirichlet(np.ones(3), size=60))
-    labels = rng.integers(0, 3, size=60)
-    preds_tgt = PredictionMatrix(rng.dirichlet(np.ones(3), size=80))
-    out = estimate_marginal(estimator, preds_src, labels, preds_tgt)
+    out = estimate_marginal(estimator, preds_src, labels, preds_tgt, lam=0.0)
     assert not out.converged
     assert message in out.diagnostics
 
