@@ -412,8 +412,12 @@ def _train(
 
     epoch_data(epoch, params) returns the epoch's (x, y, class_weights);
     step_extra(batch_index, step, params), when given, returns a term added to
-    the minibatch gradient, or None to use the gradient unchanged. The
-    safeguard monitors the full-train objective on the epoch's own data.
+    the minibatch gradient, or None to use the gradient unchanged. Each
+    minibatch is gathered from x by its slice of the epoch's shuffled order
+    (ndarray.take, which gathers rows faster than fancy indexing), so the
+    loop holds one batch beside the epoch's data, never a shuffled copy of
+    it. The safeguard monitors the full-train objective on the epoch's own
+    data.
     Outside the hooks the arithmetic is that of plain ERM, which keeps the
     reduction identities bit-exact. A step computes only loss_and_grad's
     gradient and the safeguard only its objective, each on the rows and in
@@ -437,16 +441,18 @@ def _train(
     losses: list[float] = []
     step = 0
     for epoch in range(cfg.epochs):
+        # Drop the last epoch's data first, so that an epoch re-balanced by
+        # epoch_data is never held twice.
+        x = y = None
         x, y, weights = epoch_data(epoch, params)
         n = x.shape[0]
         rows = np.arange(n)
         order = shuffle_gen.permutation(n)
-        xs, ys = x[order], y[order]
-        cws = weights[ys]
         for i, sl in enumerate(_batch_slices(n, cfg.batch_size)):
-            xb = xs[sl]
+            batch = order[sl]
+            xb, yb = x.take(batch, axis=0), y[batch]
             terms = _softmax_terms(spec, params, xb)
-            grad = _grad_half(spec, params, xb, ys[sl], cws[sl], cfg.l2, terms,
+            grad = _grad_half(spec, params, xb, yb, weights[yb], cfg.l2, terms,
                               rows[: xb.shape[0]])
             extra = None if step_extra is None else step_extra(i, step, params)
             if extra is not None:
@@ -518,13 +524,14 @@ def pseudolabel_train(
     base = RngStream(cfg.seed)
     target_gen = base.derive("target_shuffle").generator()
     steps_per_epoch = int(np.ceil(source_train.n / cfg.batch_size))
-    # Row i * batch_size + j of an epoch's target rows is the j-th target row
-    # of step i: the shuffled target order, wrapped round to fill every step.
+    # Entry i * batch_size + j of an epoch's target indices is the j-th target
+    # row of step i: the shuffled target order, wrapped round to fill every
+    # step. Each step gathers its own rows from them.
     wrapped = np.arange(steps_per_epoch * cfg.batch_size)
-    target_rows = None
+    target_idx = None
 
     def epoch_data(epoch, params):
-        nonlocal target_rows
+        nonlocal target_idx
         x, y = source_train.features, source_train.labels
         tgt_idx = np.arange(target_x.shape[0])
         if corrections.resample:
@@ -536,7 +543,7 @@ def pseudolabel_train(
                 base.derive("balance_target", epoch),
             )
         target_order = target_gen.permutation(tgt_idx)
-        target_rows = target_x[target_order[wrapped % target_order.size]]
+        target_idx = target_order[wrapped % target_order.size]
         return x, y, weights
 
     ramp_steps = pl.ramp_fraction * cfg.epochs * steps_per_epoch
@@ -544,7 +551,7 @@ def pseudolabel_train(
     def step_extra(i, step, params):
         lam_t = pl.lambda_max * min(1.0, step / ramp_steps) if ramp_steps > 0 else pl.lambda_max
         if lam_t > 0.0:
-            tb = target_rows[i * cfg.batch_size:(i + 1) * cfg.batch_size]
+            tb = target_x.take(target_idx[i * cfg.batch_size:(i + 1) * cfg.batch_size], axis=0)
             probs_tb = _forward(spec, params, tb)
             confident = _row_max(probs_tb)[:, 0] >= pl.tau
             if confident.any():

@@ -2,7 +2,9 @@
 
 Everything downstream (estimators, shift simulation, training, the benchmark
 harness) builds on the validated containers and the counter-based RNG defined
-here. Arrays stored in the containers are float64 and read-only.
+here. Arrays stored in the containers are float64 and read-only. A container
+adopts an array that nothing else can write (read-only, owning its data), as
+the package hands over the arrays it has just made, and copies any other.
 """
 
 from __future__ import annotations
@@ -63,9 +65,19 @@ def _as_float_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only; for arrays the package has just made."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _freeze(arr, dtype=np.float64) -> np.ndarray:
+    """A read-only array of arr's values: arr itself when nothing else can
+    write to it (a read-only array of the dtype that owns its data), else a
+    copy."""
+    out = np.asarray(arr, dtype=dtype)
+    if out.flags.writeable or not out.flags.owndata:
+        out = _sealed(np.array(out, copy=True))
     return out
 
 
@@ -88,7 +100,7 @@ class LabelMarginal:
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise InvalidInputError(f"marginal sums to {total!r}, expected 1 within {SUM_TOLERANCE}")
-        object.__setattr__(self, "probs", _freeze(p / total))
+        object.__setattr__(self, "probs", _sealed(p / total))
 
     @property
     def k(self) -> int:
@@ -144,7 +156,8 @@ class PredictionMatrix:
     """Row-stochastic (n, k) matrix of predicted class probabilities.
 
     Rows must be nonnegative and sum to 1 within SUM_TOLERANCE; each row is
-    renormalized to an exact unit sum.
+    renormalized to an exact unit sum. The renormalized rows are a new array,
+    which the matrix keeps read-only; the given array is never stored.
     """
 
     values: np.ndarray
@@ -167,7 +180,7 @@ class PredictionMatrix:
             raise InvalidInputError(
                 f"prediction row {bad[0]} sums to {sums[bad[0]]!r}, expected 1 within {SUM_TOLERANCE}"
             )
-        object.__setattr__(self, "values", _freeze(v / sums[:, None]))
+        object.__setattr__(self, "values", _sealed(v / sums[:, None]))
 
     @property
     def n(self) -> int:
@@ -184,7 +197,14 @@ class PredictionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """An (n, d) float feature matrix paired with n integer labels."""
+    """An (n, d) float feature matrix paired with n integer labels.
+
+    Both are stored read-only. A float64 feature array or int64 label array
+    that is read-only and owns its data is adopted as it is, since nothing
+    can write to it; any other array, such as a caller's writeable one, is
+    copied. subset and the package's readers and generators hand over the
+    arrays they make this way, so a set is built with one copy of its rows.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -208,12 +228,8 @@ class LabeledSet:
             y = y.astype(np.int64)
         if np.any(y < 0):
             raise InvalidInputError("labels must be nonnegative")
-        x = np.array(x, copy=True)
-        x.setflags(write=False)
-        y = np.array(y, dtype=np.int64, copy=True)
-        y.setflags(write=False)
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "features", _freeze(x))
+        object.__setattr__(self, "labels", _freeze(y, np.int64))
 
     @property
     def n(self) -> int:
@@ -224,8 +240,9 @@ class LabeledSet:
         return int(self.features.shape[1])
 
     def subset(self, indices) -> "LabeledSet":
+        """The rows at indices, gathered once and adopted."""
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledSet(self.features[idx], self.labels[idx])
+        return LabeledSet(_sealed(self.features[idx]), _sealed(self.labels[idx]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -343,19 +343,26 @@ def estimate_marginal(
     (uniform when training was class-balanced); it only affects mlls, whose
     ratio p(y)/prior(y) refers to the training prior. rlls and baseline are
     prior-free in the classifier. lam is the rlls penalty (None for its
-    sample-count default); it is checked for every estimator.
+    sample-count default). lam, the source labels and the k of both
+    marginals are checked against the predictions here, the same way for
+    every estimator.
     """
     if estimator not in ESTIMATORS:
         raise InvalidInputError(
             f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}"
         )
     _check_lam(lam)
-    if preds_source_val.k != preds_target.k:
-        raise DimensionError(
-            f"source predictions have k={preds_source_val.k}, target k={preds_target.k}"
-        )
+    k = preds_source_val.k
+    if preds_target.k != k:
+        raise DimensionError(f"source predictions have k={k}, target k={preds_target.k}")
+    for name, marginal in (("p_s", p_s), ("classifier_prior", classifier_prior)):
+        if marginal is not None and marginal.k != k:
+            raise DimensionError(f"{name} has k={marginal.k}, predictions have k={k}")
+    labels = np.asarray(labels_source_val)
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise InvalidInputError(f"labels must lie in [0, {k})")
     if p_s is None:
-        p_s = LabelMarginal.from_labels(labels_source_val, preds_source_val.k)
+        p_s = LabelMarginal.from_labels(labels, k)
     if classifier_prior is None:
         classifier_prior = p_s
 

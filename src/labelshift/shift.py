@@ -34,6 +34,7 @@ from labelshift.core import (
     ParseError,
     PredictionMatrix,
     RngStream,
+    _sealed,
 )
 
 # Fraction of each domain held out for validation / final evaluation.
@@ -280,14 +281,15 @@ def apply_shift_protocol(
     p_t = LabelMarginal(mass / mass.sum())
 
     base = RngStream(shift.seed)
+    # Pool indices of the realized target; its splits are gathered from the
+    # pool directly, without an intermediate copy of the realized rows.
     realized = realize_marginal(target_pool.labels, p_t, base.derive("realize"))
-    target = target_pool.subset(realized)
 
     src_train_idx, src_val_idx = split_holdout(
         source_pool.n, HOLDOUT_FRACTION, base.derive("split_source")
     )
     tgt_train_idx, tgt_test_idx = split_holdout(
-        target.n, HOLDOUT_FRACTION, base.derive("split_target")
+        realized.size, HOLDOUT_FRACTION, base.derive("split_target")
     )
     return TaskBundle(
         name=name,
@@ -298,9 +300,9 @@ def apply_shift_protocol(
         seed=shift.seed,
         source_train=source_pool.subset(src_train_idx),
         source_val=source_pool.subset(src_val_idx),
-        target_train=target.subset(tgt_train_idx),
-        target_test=target.subset(tgt_test_idx),
-        true_target_marginal=LabelMarginal.from_labels(target.labels, k),
+        target_train=target_pool.subset(realized[tgt_train_idx]),
+        target_test=target_pool.subset(realized[tgt_test_idx]),
+        true_target_marginal=LabelMarginal.from_labels(target_pool.labels[realized], k),
     )
 
 
@@ -316,16 +318,21 @@ def synth_relaxed_task(task: SynthTaskSpec, shift: ShiftSpec) -> TaskBundle:
     deltas = conditional_shift_deltas(task, shift.epsilon)
     base = RngStream(task.seed)
 
+    # Each pool is its noise with the class means added in place: addition
+    # commutes and a gather commutes with it, so these are the bits of
+    # means[y] + noise and of means[y] + deltas[y] + noise.
     g_src = base.derive("source").generator()
     src_labels = g_src.integers(0, task.k, size=task.n_source)
-    src_x = means[src_labels] + g_src.standard_normal((task.n_source, task.d))
-    source_pool = LabeledSet(src_x, src_labels)
+    src_x = g_src.standard_normal((task.n_source, task.d))
+    src_x += means[src_labels]
+    source_pool = LabeledSet(_sealed(src_x), _sealed(src_labels))
 
     p_t = dirichlet_marginal(LabelMarginal.uniform(task.k), shift)
     g_tgt = base.derive("target").generator()
     tgt_labels = g_tgt.choice(task.k, size=task.n_target, p=p_t.probs)
-    tgt_x = means[tgt_labels] + deltas[tgt_labels] + g_tgt.standard_normal((task.n_target, task.d))
-    target_pool = LabeledSet(tgt_x, tgt_labels)
+    tgt_x = g_tgt.standard_normal((task.n_target, task.d))
+    tgt_x += (means + deltas)[tgt_labels]
+    target_pool = LabeledSet(_sealed(tgt_x), _sealed(tgt_labels))
 
     return apply_shift_protocol(
         task.name, task.k, source_pool, target_pool, shift,
@@ -373,7 +380,8 @@ def _read_numeric_rows(fh, width: int, labeled: bool, blank_lines: bool):
     """Read the rest of an open CSV with one np.loadtxt pass.
 
     Returns (values, labels): a C-contiguous (n, width) float64 array and,
-    when labeled, the trailing column as int64 (otherwise None). Raises
+    when labeled, the trailing column as int64 (otherwise None), both
+    read-only so that a LabeledSet adopts them without a copy. Raises
     ValueError for any body it may not read exactly as csv.reader with
     float()/int() would, so that the caller runs its line parser instead.
     numpy gets the lines the file iterator splits, as csv.reader does, and
@@ -390,8 +398,8 @@ def _read_numeric_rows(fh, width: int, labeled: bool, blank_lines: bool):
     fields = [("v", np.float64, (width,))] + ([("y", np.int64)] if labeled else [])
     table = np.loadtxt(itertools.chain([first], lines), dtype=fields, delimiter=",",
                        comments=None, ndmin=1)
-    labels = np.ascontiguousarray(table["y"]) if labeled else None
-    return np.ascontiguousarray(table["v"]), labels
+    labels = _sealed(np.ascontiguousarray(table["y"])) if labeled else None
+    return _sealed(np.ascontiguousarray(table["v"])), labels
 
 
 def _nonempty_lines(fh, blank_lines: bool):
@@ -458,7 +466,7 @@ def _load_labeled_lines(path: Path) -> LabeledSet:
     if not labels:
         raise ParseError(f"{path}: no data rows")
     try:
-        return LabeledSet(np.array(features), np.array(labels, dtype=np.int64))
+        return LabeledSet(_sealed(np.array(features)), _sealed(np.array(labels, dtype=np.int64)))
     except (InvalidInputError, DimensionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 

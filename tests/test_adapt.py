@@ -1,6 +1,7 @@
 """Training, corrections, and the adaptation meta-loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -563,6 +564,35 @@ class TestTrainErm:
         bad = LabeledSet(train.features, np.full(train.n, 7))
         with pytest.raises(InvalidInputError, match="classes"):
             train_erm(ModelSpec("logistic", 2, 2), bad, val, CFG)
+
+
+@pytest.mark.parametrize("trainer, copies", [
+    ("train_erm", 0), ("pseudolabel_train", 0), ("iw_erm_train", 0), ("pseudolabel_train_rs", 1),
+])
+def test_training_holds_no_needless_copy_of_the_data(trainer, copies):
+    # Minibatches are gathered by index: no (n, d) array is allocated, such
+    # as a shuffled copy of the epoch or a wrapped copy of the target. With
+    # rs, pseudolabel holds one re-balanced copy of the source at a time.
+    n, d = 4000, 64
+    train = make_blobs(3, d, n, 2.0, seed=4)
+    target = make_blobs(3, d, n, 2.0, seed=5).features
+    spec, cfg = ModelSpec("logistic", d, 3), TrainConfig(epochs=2, seed=1)
+    run = {
+        "train_erm": lambda: train_erm(spec, train, train, cfg),
+        "pseudolabel_train": lambda: pseudolabel_train(spec, train, train, target, cfg),
+        "iw_erm_train": lambda: iw_erm_train(spec, train, train, target, cfg),
+        "pseudolabel_train_rs": lambda: pseudolabel_train(
+            spec, train, train, target, cfg, corrections=CorrectionFlags(resample=True)),
+    }[trainer]
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < (copies + 0.5) * n * d * 8
 
 
 class TestPseudoLabel:

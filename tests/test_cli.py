@@ -322,6 +322,25 @@ class TestEstimate:
         assert main(["estimate", "--source", str(source), "--target", str(target),
                      "--p-source", "0.5,oops"]) == 1
 
+    @pytest.mark.parametrize("estimator", ["rlls", "mlls", "baseline"])
+    def test_inputs_of_another_k_are_one_error_line(self, tmp_path, capsys, estimator):
+        source = one_hot_dump(tmp_path, "source.csv", [4, 4, 4])
+        target = one_hot_dump(tmp_path, "target.csv", [2, 3, 5], labels=False)
+        code = main(["estimate", "--source", str(source), "--target", str(target),
+                     "--estimator", estimator, "--p-source", "0.5,0.5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: p_s has k=2, predictions have k=3\n"
+
+        beyond_k = tmp_path / "beyond_k.csv"
+        beyond_k.write_text("p0,p1,y\n0.5,0.5,0\n0.5,0.5,5\n")
+        code = main(["estimate", "--source", str(beyond_k), "--target",
+                     str(one_hot_dump(tmp_path, "t2.csv", [1, 1], labels=False)),
+                     "--estimator", estimator])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: labels must lie in [0, 2)\n"
+
     def test_normalize_flag_accepts_sloppy_rows(self, tmp_path, capsys):
         source = one_hot_dump(tmp_path, "source.csv", [4, 4])
         target = tmp_path / "target.csv"

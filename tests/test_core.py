@@ -164,6 +164,44 @@ class TestContainers:
         np.testing.assert_array_equal(sub.labels, [2, 0])
         np.testing.assert_array_equal(sub.features[0], [4.0, 5.0])
 
+    def test_labeled_set_copies_a_writeable_array(self):
+        x = np.arange(8.0).reshape(4, 2)
+        y = np.array([0, 1, 0, 1])
+        ds = LabeledSet(x, y)
+        assert not np.shares_memory(ds.features, x)
+        assert not np.shares_memory(ds.labels, y)
+        x[0, 0], y[0] = 99.0, 1
+        assert (ds.features[0, 0], ds.labels[0]) == (0.0, 0)
+
+    def test_labeled_set_copies_a_read_only_view(self):
+        # The view is read-only, but its base is not: the caller can still
+        # write the values through the base.
+        base = np.arange(8.0).reshape(4, 2)
+        view = base[:]
+        view.setflags(write=False)
+        ds = LabeledSet(view, np.array([0, 1, 0, 1]))
+        assert not np.shares_memory(ds.features, base)
+
+    def test_labeled_set_adopts_a_read_only_array_that_owns_its_data(self):
+        x = np.arange(8.0).reshape(4, 2).copy()
+        y = np.array([0, 1, 0, 1])
+        x.setflags(write=False)
+        y.setflags(write=False)
+        ds = LabeledSet(x, y)
+        assert ds.features is x and ds.labels is y
+
+    def test_adopted_arrays_are_read_only(self):
+        ds = LabeledSet(np.arange(8.0).reshape(4, 2), np.array([0, 1, 2, 3]))
+        sub = ds.subset([2, 0])
+        preds = PredictionMatrix(np.array([[0.25, 0.75], [0.5, 0.5]]))
+        for arr in (ds.features, ds.labels, sub.features, sub.labels, preds.values):
+            assert not arr.flags.writeable and arr.flags.owndata
+        assert not np.shares_memory(sub.features, ds.features)
+        with pytest.raises(ValueError):
+            sub.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            preds.values[0, 0] = 1.0
+
     def test_soft_confusion_total_mass_checked(self):
         SoftConfusion(np.array([[0.4, 0.3], [0.1, 0.2]]))
         with pytest.raises(InvalidInputError):

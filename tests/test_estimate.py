@@ -486,6 +486,21 @@ class TestEstimateMarginal:
                 atol=1e-9,
             )
 
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_inputs_of_another_k_rejected_alike(self, name):
+        rng = np.random.default_rng(37)
+        preds_src = PredictionMatrix(rng.dirichlet(np.ones(3), size=30))
+        labels = np.arange(30) % 3
+        preds_tgt = PredictionMatrix(rng.dirichlet(np.ones(3), size=40))
+        two = LabelMarginal.uniform(2)
+        with pytest.raises(DimensionError, match="^p_s has k=2, predictions have k=3$"):
+            estimate_marginal(name, preds_src, labels, preds_tgt, p_s=two)
+        with pytest.raises(DimensionError,
+                           match="^classifier_prior has k=2, predictions have k=3$"):
+            estimate_marginal(name, preds_src, labels, preds_tgt, classifier_prior=two)
+        with pytest.raises(InvalidInputError, match=r"^labels must lie in \[0, 3\)$"):
+            estimate_marginal(name, preds_src, np.where(labels == 0, 3, labels), preds_tgt)
+
     def test_classifier_prior_feeds_mlls_only(self):
         rng = np.random.default_rng(31)
         preds_src = PredictionMatrix(rng.dirichlet(np.ones(2), size=40))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from labelshift.core import (
     l1_distance,
 )
 from labelshift.shift import (
+    HOLDOUT_FRACTION,
     ShiftSpec,
     SynthTaskSpec,
     TaskBundle,
@@ -159,6 +162,40 @@ class TestSplitHoldout:
             split_holdout(10, 1.0, RngStream(0))
 
 
+def reference_synth_bundle(task, shift):
+    """synth_relaxed_task in its plain form: each pool is means[y]
+    (+ deltas[y]) + noise, and the target splits come from a copy of the
+    realized target."""
+    means = class_means(task)
+    deltas = conditional_shift_deltas(task, shift.epsilon)
+    base = RngStream(task.seed)
+    g_src = base.derive("source").generator()
+    src_labels = g_src.integers(0, task.k, size=task.n_source)
+    source = LabeledSet(means[src_labels] + g_src.standard_normal((task.n_source, task.d)),
+                        src_labels)
+    p_t = dirichlet_marginal(LabelMarginal.uniform(task.k), shift)
+    g_tgt = base.derive("target").generator()
+    tgt_labels = g_tgt.choice(task.k, size=task.n_target, p=p_t.probs)
+    pool = LabeledSet(means[tgt_labels] + deltas[tgt_labels]
+                      + g_tgt.standard_normal((task.n_target, task.d)), tgt_labels)
+
+    # apply_shift_protocol's draw around the uniform base is the same p_t.
+    counts = np.bincount(pool.labels, minlength=task.k)
+    mass = np.where(counts > 0, p_t.probs, 0.0)
+    p_t = LabelMarginal(mass / mass.sum())
+    stream = RngStream(shift.seed)
+    target = pool.subset(realize_marginal(pool.labels, p_t, stream.derive("realize")))
+    src_train, src_val = split_holdout(source.n, HOLDOUT_FRACTION, stream.derive("split_source"))
+    tgt_train, tgt_test = split_holdout(target.n, HOLDOUT_FRACTION, stream.derive("split_target"))
+    return TaskBundle(
+        name=task.name, k=task.k, d=task.d, alpha=shift.alpha, epsilon=shift.epsilon,
+        seed=shift.seed, source_train=source.subset(src_train),
+        source_val=source.subset(src_val), target_train=target.subset(tgt_train),
+        target_test=target.subset(tgt_test),
+        true_target_marginal=LabelMarginal.from_labels(target.labels, task.k),
+    )
+
+
 class TestSynthTask:
     def test_class_means_equidistant(self):
         task = SynthTaskSpec("t", k=4, d=6, n_source=10, n_target=10, class_separation=3.0)
@@ -202,6 +239,34 @@ class TestSynthTask:
         np.testing.assert_array_equal(
             a.true_target_marginal.probs, b.true_target_marginal.probs
         )
+
+    @pytest.mark.parametrize("alpha, epsilon", [(None, 0.0), (0.5, 1.0)])
+    def test_bundle_matches_the_unfused_reference(self, alpha, epsilon):
+        task = SynthTaskSpec("blob", k=3, d=4, n_source=500, n_target=500, seed=13)
+        shift = ShiftSpec(alpha=alpha, epsilon=epsilon, seed=17)
+        got, want = synth_relaxed_task(task, shift), reference_synth_bundle(task, shift)
+        for name in ("source_train", "source_val", "target_train", "target_test"):
+            assert np.array_equal(getattr(got, name).features, getattr(want, name).features)
+            assert np.array_equal(getattr(got, name).labels, getattr(want, name).labels)
+        assert np.array_equal(got.true_target_marginal.probs, want.true_target_marginal.probs)
+
+    @pytest.mark.parametrize("alpha, epsilon", [(None, 0.0), (0.5, 1.0)])
+    def test_bundle_build_peak_memory(self, alpha, epsilon):
+        # A grid_paper-shaped bundle: the pools, their splits and one
+        # temporary per pool, not several copies of each dataset.
+        task = SynthTaskSpec("paper", k=3, d=16, n_source=10_000, n_target=10_000,
+                             class_separation=2.75, seed=5)
+        shift = ShiftSpec(alpha=alpha, epsilon=epsilon, seed=9)
+        synth_relaxed_task(task, shift)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            synth_relaxed_task(task, shift)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        pools = (task.n_source + task.n_target) * task.d * 8
+        assert peak <= 3 * pools
 
     def test_epsilon_translates_class_conditionals(self):
         task = SynthTaskSpec("blob", k=2, d=2, n_source=20000, n_target=20000, seed=5)
