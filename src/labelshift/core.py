@@ -116,6 +116,8 @@ class LabelMarginal:
         labels = np.asarray(labels)
         if labels.size == 0:
             raise EmptyInputError("cannot take the empirical marginal of zero labels")
+        if labels.min() < 0 or labels.max() >= k:
+            raise InvalidInputError(f"labels must lie in [0, {k})")
         counts = np.bincount(labels, minlength=k).astype(np.float64)
         return cls(counts / counts.sum())
 

@@ -4,7 +4,7 @@ Three interchangeable estimators, all black-box in the classifier:
 
 * ``rlls``: regularized least squares on the soft confusion matrix, with both
   norms squared, solved exactly over the simplex by a primal active-set method.
-* ``mlls``: maximum-likelihood EM fixed point, two matrix-vector products a step.
+* ``mlls``: maximum-likelihood EM fixed point, accelerated by SQUAREM.
 * ``baseline``: the mean target prediction, no correction for classifier error.
 
 ``estimate_marginal`` is the uniform entry point used by the adaptation loop
@@ -42,7 +42,8 @@ RLLS_MAX_ITERS = 10000
 MLLS_TOL = 1e-8
 MLLS_MAX_ITERS = 10000
 
-# Floor applied to EM denominators before taking logs.
+# An EM denominator below this is reported as floored, and its row's posterior
+# is taken term by term, because 1 / denom can overflow.
 MLLS_DENOMINATOR_FLOOR = 1e-12
 
 
@@ -60,9 +61,13 @@ class RllsResult:
 class MllsResult:
     marginal: LabelMarginal
     converged: bool
+    # EM steps run. Each SqS3 cycle takes two; a run can end after the first.
     iterations: int
-    # Mean log-likelihood per EM iterate, including the final one; length is
-    # iterations + 1. Non-decreasing up to rounding while nothing is floored.
+    # SqS3 cycles that kept their extrapolated point; the others ended at
+    # their second EM step.
+    cycles: int = 0
+    # Mean log-likelihood at the start of each EM step and at the answer;
+    # length is iterations + 1. Non-decreasing up to rounding.
     log_likelihoods: tuple[float, ...] = ()
     floored: bool = False
 
@@ -258,16 +263,31 @@ def rlls_estimate(
 
 
 def mlls_estimate(preds_target: PredictionMatrix, p_s: LabelMarginal) -> MllsResult:
-    """Maximum-likelihood marginal via the EM fixed point.
+    """Maximum-likelihood marginal via the EM fixed point, accelerated by SQUAREM.
 
-    Iterates p(y) <- mean over target examples of the reweighted posterior
-    r(y) f_y(x) / sum_y' r(y') f_y'(x), r = p / p_s, from p = p_s until the l1
-    change drops below MLLS_TOL or MLLS_MAX_ITERS steps have run. A step is
-    two matrix-vector products on the predictions F: denom = F r, then
-    p <- r * (F^T (1 / denom)) / n. The mean log-likelihood mean(log denom) is
-    recorded per iterate; EM ascent keeps it non-decreasing unless a
-    denominator is floored. Consistency assumes roughly calibrated
-    predictions. Classes with p_s(y) = 0 have no ratio and stay 0.
+    An EM step maps p to the mean over target examples of the reweighted
+    posterior r(y) f_y(x) / sum_y' r(y') f_y'(x), r = p / p_s: two
+    matrix-vector products on the predictions F, denom = F r and then
+    p <- r * (F^T (1 / denom)), renormalized. Each row is divided by its
+    true denominator (term by term below MLLS_DENOMINATOR_FLOOR), and a row
+    whose denominator is exactly 0 adds nothing, so every step is an EM step
+    on the rows the model can explain.
+
+    From p = p_s the loop runs SqS3 cycles (Varadhan & Roland 2008): two EM
+    steps p0 -> p1 -> p2, then, with r = p1 - p0, v = p2 - 2 p1 + p0 and
+    alpha = min(-||r|| / ||v||, -1), the extrapolated point
+    p0 - 2 alpha r + alpha^2 v. The next cycle starts from that point if it
+    is strictly positive on the source support and its mean log-likelihood
+    is at least that of p1, the last recorded iterate; otherwise from p2.
+    The loop stops when one EM step moves p by less than MLLS_TOL in l1, or
+    after MLLS_MAX_ITERS EM steps.
+
+    The mean log-likelihood, the mean log of the positive denominators, is
+    recorded before each EM step and once at the end; EM ascent and the
+    acceptance rule keep it non-decreasing. ``floored`` flags a recorded
+    iterate with a denominator below MLLS_DENOMINATOR_FLOOR. Consistency
+    assumes roughly calibrated predictions. Classes with p_s(y) = 0 have no
+    ratio and stay 0.
     """
     if preds_target.k != p_s.k:
         raise DimensionError(f"predictions have k={preds_target.k}, marginal k={p_s.k}")
@@ -276,42 +296,67 @@ def mlls_estimate(preds_target: PredictionMatrix, p_s: LabelMarginal) -> MllsRes
     support = ps > 0
     inv_ps = np.where(support, 1.0 / np.where(support, ps, 1.0), 0.0)
 
-    p = ps.copy()
-    lls: list[float] = []
-    floored = False
-    converged = False
-    iterations = 0
-
-    def mean_ll(pvec: np.ndarray) -> tuple[float, np.ndarray]:
+    def likelihood(pvec: np.ndarray) -> tuple[float, np.ndarray]:
+        # The mean log of the positive denominators at pvec, and all of them.
         denom = values @ (pvec * inv_ps)
-        nonlocal floored
-        if denom.min() < MLLS_DENOMINATOR_FLOOR:
-            floored = True
-        denom = np.maximum(denom, MLLS_DENOMINATOR_FLOOR)
-        return float(np.log(denom).mean()), denom
-
-    for iterations in range(1, MLLS_MAX_ITERS + 1):
-        ll, denom = mean_ll(p)
-        lls.append(ll)
-        p_next = p * inv_ps * (values.T @ (1.0 / denom)) / preds_target.n
-        # Flooring can leak mass from all-zero posteriors; exact EM sums to 1.
-        total = p_next.sum()
-        if total <= 0:
+        positive = denom > 0
+        if not positive.any():
             raise DegenerateEstimateError("EM posterior collapsed to zero mass")
-        p_next = p_next / total
-        delta = float(np.abs(p_next - p).sum())
-        p = p_next
-        if delta < MLLS_TOL:
-            converged = True
+        logs = np.log(denom, out=np.zeros_like(denom), where=positive)
+        return float(logs.sum() / np.count_nonzero(positive)), denom
+
+    def em_step(pvec: np.ndarray, denom: np.ndarray) -> np.ndarray:
+        ratio = pvec * inv_ps
+        large = denom >= MLLS_DENOMINATOR_FLOOR
+        step = ratio * (values.T @ np.divide(1.0, denom, out=np.zeros_like(denom), where=large))
+        small = (denom > 0) & ~large
+        if small.any():
+            # 1 / denom can overflow here, but no posterior term exceeds 1.
+            step += (values[small] * ratio / denom[small, None]).sum(axis=0)
+        return step / step.sum()
+
+    p = ps
+    ll, denom = likelihood(p)
+    floored = False
+    lls: list[float] = []
+    iterations = cycles = 0
+    while True:
+        lls.append(ll)
+        floored |= denom.min() < MLLS_DENOMINATOR_FLOOR
+        p_next = em_step(p, denom)
+        iterations += 1
+        converged = float(np.abs(p_next - p).sum()) < MLLS_TOL
+        if converged or iterations == MLLS_MAX_ITERS:
+            p = p_next
             break
-    lls.append(mean_ll(p)[0])
+        if iterations % 2:  # the first of a cycle's two EM steps
+            p0, p = p, p_next
+            ll, denom = likelihood(p)
+        else:
+            r = p - p0
+            v = p_next - 2.0 * p + p0
+            norm_v = np.linalg.norm(v)
+            alpha = -max(np.linalg.norm(r) / norm_v, 1.0) if norm_v > 0 else -1.0
+            jump = p0 - 2.0 * alpha * r + alpha * alpha * v
+            found = None
+            if np.all(jump[support] > 0):
+                jump /= jump.sum()  # sum(r) = sum(v) = 0 up to rounding
+                found = likelihood(jump)
+            if found is None or found[0] < ll:
+                jump, found = p_next, likelihood(p_next)
+            else:
+                cycles += 1
+            p, (ll, denom) = jump, found
+    ll, denom = likelihood(p)
+    lls.append(ll)
 
     return MllsResult(
         marginal=LabelMarginal(p),
         converged=converged,
         iterations=iterations,
+        cycles=cycles,
         log_likelihoods=tuple(lls),
-        floored=floored,
+        floored=bool(floored or denom.min() < MLLS_DENOMINATOR_FLOOR),
     )
 
 

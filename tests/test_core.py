@@ -132,6 +132,14 @@ class TestContainers:
         m = LabelMarginal.from_labels([0, 0, 1, 2], k=4)
         np.testing.assert_allclose(m.probs, [0.5, 0.25, 0.25, 0.0])
 
+    def test_from_labels_rejects_a_label_of_k_or_more(self):
+        with pytest.raises(InvalidInputError, match=r"\[0, 2\)"):
+            LabelMarginal.from_labels([0, 5], k=2)
+
+    def test_from_labels_rejects_a_negative_label(self):
+        with pytest.raises(InvalidInputError, match=r"\[0, 2\)"):
+            LabelMarginal.from_labels([0, -1], k=2)
+
     def test_importance_weights_feasibility_checked(self):
         ps = LabelMarginal(np.array([0.5, 0.5]))
         ImportanceWeights(np.array([0.4, 1.6]), ps)

@@ -16,7 +16,6 @@ from labelshift.core import (
 import labelshift.estimate as estimate_module
 from labelshift.estimate import (
     ESTIMATORS,
-    MLLS_DENOMINATOR_FLOOR,
     MLLS_MAX_ITERS,
     MLLS_TOL,
     estimate_marginal,
@@ -379,40 +378,59 @@ class TestMlls:
         res = mlls_estimate(preds, LabelMarginal(np.array([0.5, 0.5, 0.0])))
         assert res.marginal.probs[2] == 0.0
 
+    def test_a_subnormal_denominator_is_divided_exactly(self):
+        # A row's posterior does not change when the row is scaled, so a row
+        # whose supported mass is 3e-310 pulls p as it does at full scale,
+        # although 1 / denom overflows for it.
+        rows = [[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [0.2, 0.7, 0.1], [0.7, 0.2, 0.1]]
+        p_s = LabelMarginal(np.array([0.5, 0.5, 0.0]))
+        tiny = mlls_estimate(PredictionMatrix(np.array([[1e-310, 2e-310, 1.0]] + rows)), p_s)
+        full = mlls_estimate(PredictionMatrix(np.array([[1 / 3, 2 / 3, 0.0]] + rows)), p_s)
+        assert tiny.converged and tiny.floored and not full.floored
+        np.testing.assert_allclose(tiny.marginal.probs, full.marginal.probs, rtol=0, atol=1e-9)
 
-def reference_mlls(preds, p_s):
-    """The EM step as the mean of the (n, k) reweighted posterior matrix:
-    mlls_estimate's earlier formulation, kept as its reference."""
-    values = preds.values
-    ps = p_s.probs
-    support = ps > 0
-    inv_ps = np.where(support, 1.0 / np.where(support, ps, 1.0), 0.0)
-    p = ps.copy()
-    lls = []
-    floored = False
-    converged = False
+    def test_extrapolation_outside_the_simplex_falls_back(self):
+        # The worked example under p_s = [0.3, 0.7]: the first SqS3 cycle
+        # extrapolates to [1.095, -0.095], so the cycle keeps its EM step.
+        # So does every later one, and plain EM reaches the vertex.
+        preds = PredictionMatrix(np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]]))
+        p_s = LabelMarginal(np.array([0.3, 0.7]))
+        p0 = p_s.probs
+        p1 = em_step(preds, p_s, p0)
+        p2 = em_step(preds, p_s, p1)
+        r, v = p1 - p0, p2 - 2.0 * p1 + p0
+        alpha = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+        assert (p0 - 2.0 * alpha * r + alpha * alpha * v)[1] < 0
+        res = mlls_estimate(preds, p_s)
+        assert res.converged and res.cycles == 0
+        np.testing.assert_allclose(res.marginal.probs, [1.0, 0.0], atol=1e-6)
+        assert np.diff(res.log_likelihoods).min() >= -8 * np.finfo(float).eps
 
-    def mean_ll(pvec):
-        nonlocal floored
-        weighted = values * (pvec * inv_ps)
-        denom = weighted.sum(axis=1)
-        if denom.min() < MLLS_DENOMINATOR_FLOOR:
-            floored = True
-        denom = np.maximum(denom, MLLS_DENOMINATOR_FLOOR)
-        return float(np.log(denom).mean()), weighted / denom[:, None]
 
-    for iterations in range(1, MLLS_MAX_ITERS + 1):
-        ll, posterior = mean_ll(p)
-        lls.append(ll)
-        p_next = posterior.mean(axis=0)
-        p_next = p_next / p_next.sum()
-        delta = float(np.abs(p_next - p).sum())
+def em_step(preds, p_s, p):
+    """One plain EM step from p. A row with a zero denominator adds nothing.
+    Ratios below the smallest normal float count as 0: this moves the step
+    by less than 1e-290 and keeps thousands of steps toward a face of the
+    simplex off the slow subnormal path."""
+    ratio = p / np.where(p_s.probs > 0, p_s.probs, np.inf)
+    ratio[ratio < np.finfo(float).tiny] = 0.0
+    denom = preds.values @ ratio
+    inv = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > 0)
+    step = ratio * (preds.values.T @ inv)
+    return step / step.sum()
+
+
+def plain_em(preds, p_s, tol=MLLS_TOL, max_iters=MLLS_MAX_ITERS):
+    """EM from p_s without acceleration until a step moves p by less than tol
+    in l1: mlls_estimate's reference. Returns (p, EM steps, converged)."""
+    p = p_s.probs
+    for iterations in range(1, max_iters + 1):
+        p_next = em_step(preds, p_s, p)
+        delta = np.abs(p_next - p).sum()
         p = p_next
-        if delta < MLLS_TOL:
-            converged = True
-            break
-    lls.append(mean_ll(p)[0])
-    return p, iterations, converged, floored, lls
+        if delta < tol:
+            return p, iterations, True
+    return p, iterations, False
 
 
 def mlls_case(name):
@@ -427,8 +445,8 @@ def mlls_case(name):
         preds = rng.dirichlet(np.full(3, 0.6), size=400)
         return PredictionMatrix(preds), LabelMarginal(rng.dirichlet(np.full(3, 4.0)))
     # Rows with all their mass on the zero-support class have a zero
-    # denominator; rows with 1e-14 on every supported class have one below
-    # the floor, so the floor loses part of their posterior mass.
+    # denominator; rows with 1e-14 on every supported class have a positive
+    # one below the floor.
     preds = rng.dirichlet(np.full(4, 0.5), size=300)
     preds[:10] = [0.0, 0.0, 0.0, 1.0]
     if name == "floored_below":
@@ -439,15 +457,60 @@ def mlls_case(name):
 @pytest.mark.parametrize("name", ["k50_zero_support", "floored_zero", "floored_below", "k3"])
 def test_mlls_matches_posterior_mean_reference(name):
     preds, p_s = mlls_case(name)
-    p, iterations, converged, floored, lls = reference_mlls(preds, p_s)
+    plain, _, plain_converged = plain_em(preds, p_s)
+    fixed_point, _, fixed_converged = plain_em(preds, p_s, tol=1e-14, max_iters=100_000)
+    assert plain_converged and fixed_converged
     res = mlls_estimate(preds, p_s)
-    assert np.abs(res.marginal.probs - p).sum() <= 1e-14
-    assert (res.iterations, res.converged, res.floored) == (iterations, converged, floored)
-    assert floored == name.startswith("floored")
-    np.testing.assert_allclose(res.log_likelihoods, lls, rtol=0, atol=1e-14)
+    assert res.converged
+    assert 1 <= res.cycles < res.iterations
+    gap = np.abs(res.marginal.probs - fixed_point).sum()
+    assert gap <= max(np.abs(plain - fixed_point).sum(), 1e-6)
+    assert res.floored == name.startswith("floored")
     assert np.all(res.marginal.probs[p_s.probs == 0] == 0.0)
-    if name != "floored_below":  # a floored nonzero denominator breaks EM's ascent
-        assert np.diff(res.log_likelihoods).min() >= -8 * np.finfo(float).eps
+    assert len(res.log_likelihoods) == res.iterations + 1
+    assert np.diff(res.log_likelihoods).min() >= -8 * np.finfo(float).eps
+
+
+def bayes_dumps(k, seed=20260):
+    """Target predictions and the source label marginal, drawn as the
+    benchmark's estimate_sweep draws its dumps at k = 10 and 50: 4,000 rows a
+    domain from k unit-covariance Gaussians with means 2.5 / sqrt(2) on the
+    one-hot vertices, a uniform source, a Dirichlet(0.3) target marginal at
+    least 0.5 from uniform in l1, and Bayes posteriors under a uniform prior."""
+    rng = np.random.default_rng([2, k, seed])
+    uniform = np.full(k, 1.0 / k)
+    while True:
+        p_t = rng.dirichlet(np.full(k, 0.3))
+        if np.abs(p_t - uniform).sum() >= 0.5:
+            break
+    mean = 2.5 / np.sqrt(2.0)
+
+    def draw(marginal):
+        labels = rng.choice(k, size=4000, p=marginal)
+        x = rng.standard_normal((4000, k))
+        x[np.arange(4000), labels] += mean
+        return x, labels
+
+    _, source_labels = draw(uniform)
+    x, _ = draw(p_t)
+    scores = np.log(uniform)[None, :] + mean * x
+    scores -= scores.max(axis=1, keepdims=True)
+    post = np.exp(scores)
+    preds = PredictionMatrix(post / post.sum(axis=1, keepdims=True))
+    return preds, LabelMarginal.from_labels(source_labels, k)
+
+
+@pytest.mark.parametrize("k", [3, 10, 50])
+def test_mlls_takes_a_third_of_plain_em_steps_on_bayes_dumps(k):
+    preds, p_s = bayes_dumps(k)
+    _, plain_steps, _ = plain_em(preds, p_s)
+    res = mlls_estimate(preds, p_s)
+    assert res.converged
+    assert 1 <= res.cycles < res.iterations
+    assert 3 * res.iterations <= plain_steps
+    # The benchmark's output check: one EM step leaves the answer in place.
+    p = res.marginal.probs
+    assert np.abs(em_step(preds, p_s, p) - p).sum() <= 1e-6
 
 
 class TestEstimateMarginal:
