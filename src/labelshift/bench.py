@@ -17,7 +17,7 @@ import csv
 import json
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,9 @@ from labelshift.core import (
     ParseError,
     PredictionMatrix,
     RngStream,
+    _field_types,
+    _read_fields,
+    _required_fields,
     l1_distance,
 )
 from labelshift.estimate import ESTIMATORS
@@ -56,31 +59,15 @@ from labelshift.shift import (
 
 RESULTS_FILENAME = "results.jsonl"
 SUMMARY_FILENAME = "summary.csv"
-SUMMARY_HEADER = (
-    "alpha,method,corrections,estimator,n,"
-    "mean_rel_acc,median_rel_acc,q25,q75,mean_l1,median_l1"
-)
-
-# Fields a results line may carry besides the mandatory coordinates.
-_OPTIONAL_RECORD_FIELDS = (
-    "estimator",
-    "target_accuracy",
-    "source_val_accuracy",
-    "marginal_l1_error",
-    "true_marginal",
-    "estimated_marginal",
-    "wall_time_seconds",
-    "error",
-)
 
 
 @dataclass(frozen=True)
 class GridTask:
     """One task axis entry: either a synthetic generator (its name and seed
     are overridden per cell) or a directory holding source.csv / target.csv
-    pools. epsilon is the conditional-shift budget; for dataset pools it is
-    recorded as metadata only, since their conditional shift is whatever the
-    data carries."""
+    pools. epsilon is the synthetic task's conditional-shift budget; dataset
+    pools carry whatever conditional shift their data has, so a data_dir
+    task takes no nonzero epsilon."""
 
     name: str
     synth: SynthTaskSpec | None = None
@@ -96,16 +83,19 @@ class GridTask:
             )
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise InvalidInputError("epsilon must be finite and nonnegative")
+        if self.data_dir is not None and self.epsilon != 0:
+            raise InvalidInputError(f"data_dir task {self.name!r} takes no epsilon")
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    tasks: tuple
-    alphas: tuple = (None, 10.0, 3.0, 1.0, 0.5)
-    seeds: tuple = (0, 1)
-    methods: tuple = ("source_only", "pseudolabel")
-    corrections: tuple = (CorrectionFlags(), CorrectionFlags(resample=True, reweight=True))
-    estimators: tuple = ("rlls",)
+    tasks: tuple[GridTask, ...]
+    alphas: tuple[float | None, ...] = (None, 10.0, 3.0, 1.0, 0.5)
+    seeds: tuple[int, ...] = (0, 1)
+    methods: tuple[str, ...] = ("source_only", "pseudolabel")
+    corrections: tuple[CorrectionFlags, ...] = (
+        CorrectionFlags(), CorrectionFlags(resample=True, reweight=True))
+    estimators: tuple[str, ...] = ("rlls",)
     seed: int = 0
     output_dir: str = "results"
     model_kind: str = "logistic"
@@ -155,6 +145,12 @@ class GridConfig:
             raise InvalidInputError("hidden_units must be positive")
 
 
+def _cell_key(task_id, alpha, seed, method, corrections, estimator=None, **results) -> tuple:
+    """A cell's identity from its record's fields. No estimator keys as "",
+    so that keys sort."""
+    return (task_id, alpha, seed, method, corrections, estimator or "")
+
+
 @dataclass(frozen=True)
 class Cell:
     """One planned grid cell with the estimator already resolved."""
@@ -165,19 +161,27 @@ class Cell:
     method: str
     corrections: CorrectionFlags
 
-    def key(self) -> tuple:
-        return (
-            self.task.name,
-            self.alpha,
-            self.seed,
-            self.method,
-            self.corrections.label(),
-            self.corrections.estimator or "",
+    def record_fields(self) -> dict:
+        """The coordinates this cell's record carries."""
+        return dict(
+            task_id=self.task.name,
+            alpha=self.alpha,
+            seed=self.seed,
+            method=self.method,
+            corrections=self.corrections.label(),
+            estimator=self.corrections.estimator,
         )
+
+    def key(self) -> tuple:
+        return _cell_key(**self.record_fields())
 
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One results line. It is written as "v" and then the fields in order:
+    each field without a default, even when None, and each other field that
+    is set."""
+
     task_id: str
     alpha: float | None
     seed: int
@@ -187,67 +191,32 @@ class RunRecord:
     target_accuracy: float | None = None
     source_val_accuracy: float | None = None
     marginal_l1_error: float | None = None
-    true_marginal: tuple | None = None
-    estimated_marginal: tuple | None = None
+    true_marginal: tuple[float, ...] | None = None
+    estimated_marginal: tuple[float, ...] | None = None
     wall_time_seconds: float | None = None
     error: str | None = None
 
     def key(self) -> tuple:
-        return (
-            self.task_id,
-            self.alpha,
-            self.seed,
-            self.method,
-            self.corrections,
-            self.estimator or "",
-        )
+        return _cell_key(**vars(self))
 
     def to_json_dict(self) -> dict:
-        out = {
-            "v": 1,
-            "task_id": self.task_id,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "method": self.method,
-            "corrections": self.corrections,
-        }
-        for name in _OPTIONAL_RECORD_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            out[name] = list(value) if isinstance(value, tuple) else value
+        out = {"v": 1}
+        # The class's field table: fields() builds a new tuple on each call,
+        # and one per record raised the peak memory of long grid runs.
+        for f in self.__dataclass_fields__.values():
+            value = getattr(self, f.name)
+            if value is not None or f.default is MISSING:
+                out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "RunRecord":
-        if payload.get("v") != 1:
+    def from_json_dict(cls, payload) -> "RunRecord":
+        if isinstance(payload, dict) and payload.get("v") != 1:
             raise ParseError(f"unsupported record version {payload.get('v')!r}")
-        known = {"v", "task_id", "alpha", "seed", "method", "corrections",
-                 *_OPTIONAL_RECORD_FIELDS}
-        unknown = set(payload) - known
-        if unknown:
-            raise ParseError(f"unknown record fields {sorted(unknown)}")
-        try:
-            alpha = payload["alpha"]
-            return cls(
-                task_id=payload["task_id"],
-                alpha=None if alpha is None else float(alpha),
-                seed=int(payload["seed"]),
-                method=payload["method"],
-                corrections=payload["corrections"],
-                estimator=payload.get("estimator"),
-                target_accuracy=payload.get("target_accuracy"),
-                source_val_accuracy=payload.get("source_val_accuracy"),
-                marginal_l1_error=payload.get("marginal_l1_error"),
-                true_marginal=(tuple(payload["true_marginal"])
-                               if "true_marginal" in payload else None),
-                estimated_marginal=(tuple(payload["estimated_marginal"])
-                                    if "estimated_marginal" in payload else None),
-                wall_time_seconds=payload.get("wall_time_seconds"),
-                error=payload.get("error"),
-            )
-        except KeyError as exc:
-            raise ParseError(f"record is missing field {exc.args[0]!r}") from None
+        values = _read_fields(payload, {"v": int, **_field_types(cls)}, _required_fields(cls),
+                              "record")
+        del values["v"]
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -266,6 +235,9 @@ class Summary:
     q75: float
     mean_l1: float | None
     median_l1: float | None
+
+
+SUMMARY_HEADER = ",".join(f.name for f in fields(Summary))
 
 
 @dataclass(frozen=True)
@@ -365,19 +337,8 @@ def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int
     return apply_shift_protocol(task.name, k, source_pool, target_pool, shift)
 
 
-def _cell_fields(cell: Cell) -> dict:
-    return dict(
-        task_id=cell.task.name,
-        alpha=cell.alpha,
-        seed=cell.seed,
-        method=cell.method,
-        corrections=cell.corrections.label(),
-        estimator=cell.corrections.estimator,
-    )
-
-
 def _failed(cell: Cell, exc: Exception, seconds: float) -> RunRecord:
-    return RunRecord(**_cell_fields(cell), wall_time_seconds=seconds,
+    return RunRecord(**cell.record_fields(), wall_time_seconds=seconds,
                      error=f"{type(exc).__name__}: {exc}")
 
 
@@ -457,7 +418,7 @@ def _run_group(cfg: GridConfig, bundle, cells: list[Cell], share: float) -> list
             metrics = evaluate(result.reweighted(test_preds), test.labels,
                                result.p_hat_t, bundle.true_target_marginal)
             records.append(RunRecord(
-                **_cell_fields(cell),
+                **cell.record_fields(),
                 target_accuracy=metrics.accuracy,
                 source_val_accuracy=source_val_accuracy,
                 marginal_l1_error=metrics.marginal_l1_error,
@@ -499,8 +460,8 @@ def _alpha_order(alpha):
 
 
 def _record_order(record: RunRecord):
-    return (record.task_id, _alpha_order(record.alpha), record.seed,
-            record.method, record.corrections, record.estimator or "")
+    task_id, alpha, *rest = record.key()
+    return (task_id, _alpha_order(alpha), *rest)
 
 
 def _pools_in_order(groups: list[list[Cell]]):
@@ -608,7 +569,7 @@ def aggregate(records) -> list[Summary]:
         groups.setdefault((r.alpha, r.method, r.corrections, r.estimator), []).append(r)
 
     summaries = []
-    for (alpha, method, corrections, estimator), members in sorted(
+    for group, members in sorted(
         groups.items(),
         key=lambda item: (_alpha_order(item[0][0]), item[0][1], item[0][2],
                           item[0][3] or ""),
@@ -627,10 +588,7 @@ def aggregate(records) -> list[Summary]:
         l1 = np.sort(np.asarray([r.marginal_l1_error for r in members
                                  if r.marginal_l1_error is not None]))
         summaries.append(Summary(
-            alpha=alpha,
-            method=method,
-            corrections=corrections,
-            estimator=estimator,
+            *group,
             n=len(members),
             mean_rel_acc=float(rel.mean()),
             median_rel_acc=float(np.median(rel)),
@@ -643,25 +601,16 @@ def aggregate(records) -> list[Summary]:
 
 
 def write_summary_csv(path, summaries) -> None:
-    """CSV with the fixed header; alpha None prints as "none", absent l1
-    statistics as empty cells."""
+    """CSV with one column per Summary field, in order; alpha None prints as
+    "none", and any other None (no estimator, no l1 statistics) as an empty
+    cell. Floats print as their repr."""
     with open(path, "w", newline="") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         writer = csv.writer(fh)
         for s in summaries:
-            writer.writerow([
-                "none" if s.alpha is None else repr(s.alpha),
-                s.method,
-                s.corrections,
-                s.estimator or "",
-                s.n,
-                repr(s.mean_rel_acc),
-                repr(s.median_rel_acc),
-                repr(s.q25),
-                repr(s.q75),
-                "" if s.mean_l1 is None else repr(s.mean_l1),
-                "" if s.median_l1 is None else repr(s.median_l1),
-            ])
+            row = {f.name: getattr(s, f.name) for f in fields(s)}
+            row["alpha"] = "none" if s.alpha is None else s.alpha
+            writer.writerow("" if value is None else value for value in row.values())
 
 
 # ---------------------------------------------------------------------------

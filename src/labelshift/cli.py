@@ -22,6 +22,8 @@ from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from labelshift.adapt import (
+    ALGORITHMS,
+    MODEL_KINDS,
     CorrectionFlags,
     ModelSpec,
     PseudoLabelConfig,
@@ -50,6 +52,12 @@ from labelshift.core import (
     LabelShiftError,
     PairingError,
     ParseError,
+    _cast,
+    _check_keys,
+    _field_types,
+    _items,
+    _read_fields,
+    _required_fields,
 )
 from labelshift.estimate import ESTIMATORS, estimate_marginal
 from labelshift.shift import (
@@ -71,61 +79,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _check_keys(obj, allowed: set, required: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
-    missing = sorted(required - set(obj))
-    if missing:
-        raise ParseError(f"{where}: missing required key {missing[0]!r}")
-
-
-def _cast(kind, value, where: str):
-    """kind(value) for an int or float field, a failed cast as a ParseError."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: expected {kind.__name__}, got {value!r}") from None
-
-
-def _field(obj: dict, key: str, kind, where: str, default=None):
-    return _cast(kind, obj.get(key, default), f"{where}.{key}")
-
-
-def _str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _list(doc: dict, key: str) -> list:
-    if not isinstance(doc[key], list):
-        raise ParseError(f"{key}: expected a list")
-    return doc[key]
+# The keys of each config section. Each key is typed by the dataclass field
+# it sets; the cell seeds a task's generator and its training itself.
+_GRID_KEYS = ("seed", "output_dir", "alphas", "seeds", "methods", "estimators")
+_TOP_KEYS = {*_GRID_KEYS, "tasks", "corrections", "model", "train", "pseudolabel"}
+_SYNTH_TASK_KEYS = ("name", "k", "d", "n_source", "n_target", "class_separation")
+_TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2")
 
 
 def _parse_task(entry, index: int) -> GridTask:
     where = f"tasks[{index}]"
     if isinstance(entry, dict) and "data_dir" in entry:
-        _check_keys(entry, {"name", "data_dir", "epsilon"}, {"name", "data_dir"}, where)
-        return GridTask(name=_str(entry["name"], f"{where}.name"),
-                        data_dir=_str(entry["data_dir"], f"{where}.data_dir"),
-                        epsilon=_field(entry, "epsilon", float, where, 0.0))
-    allowed = {"name", "k", "d", "n_source", "n_target", "class_separation", "epsilon"}
-    _check_keys(entry, allowed, {"name", "k", "d", "n_source", "n_target"}, where)
-    name = _str(entry["name"], f"{where}.name")
-    synth = SynthTaskSpec(
-        name=name,
-        k=_field(entry, "k", int, where),
-        d=_field(entry, "d", int, where),
-        n_source=_field(entry, "n_source", int, where),
-        n_target=_field(entry, "n_target", int, where),
-        class_separation=_field(entry, "class_separation", float, where, 2.0),
-    )
-    return GridTask(name=name, synth=synth,
-                    epsilon=_field(entry, "epsilon", float, where, 0.0))
+        schema = {**_field_types(GridTask, ("name",)), "data_dir": str}
+        return GridTask(**_read_fields(entry, schema, _required_fields(GridTask), where))
+    schema = {**_field_types(SynthTaskSpec, _SYNTH_TASK_KEYS),
+              **_field_types(GridTask, ("epsilon",))}
+    synth = _read_fields(entry, schema, _required_fields(SynthTaskSpec), where)
+    task = {"epsilon": synth.pop("epsilon")} if "epsilon" in synth else {}
+    return GridTask(name=synth["name"], synth=SynthTaskSpec(**synth), **task)
 
 
 def _parse_corrections(entry, index: int) -> CorrectionFlags:
@@ -134,19 +105,14 @@ def _parse_corrections(entry, index: int) -> CorrectionFlags:
     if isinstance(entry, dict):
         _check_keys(entry, {"flags", "estimator"}, {"flags"}, where)
         entry, estimator = entry["flags"], entry.get("estimator")
-    if not isinstance(entry, str):
-        raise ParseError(f"{where}: expected a flags string or an object")
-    return CorrectionFlags.from_label(entry, estimator=estimator)
-
-
-_TOP_KEYS = {"seed", "output_dir", "tasks", "alphas", "seeds", "methods",
-             "corrections", "estimators", "model", "train", "pseudolabel"}
+    return CorrectionFlags.from_label(_cast(str, entry, where), estimator=estimator)
 
 
 def load_grid_config(path) -> GridConfig:
     """Parse and strictly validate a grid configuration document: every axis
-    is a list, every section and task entry an object, and every number
-    casts to its type; a violation is a ParseError naming the key."""
+    is a list, every section and task entry an object, and every value casts
+    to the type of the field it sets; a violation is a ParseError naming the
+    key. A key the document leaves out takes its dataclass's default."""
     path = Path(path)
     with open(path) as fh:
         try:
@@ -155,50 +121,20 @@ def load_grid_config(path) -> GridConfig:
             raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
     _check_keys(doc, _TOP_KEYS, {"tasks"}, str(path))
 
-    kwargs = {}
-    kwargs["tasks"] = tuple(_parse_task(t, i) for i, t in enumerate(_list(doc, "tasks")))
-    if "alphas" in doc:
-        kwargs["alphas"] = tuple(None if a is None else _cast(float, a, f"alphas[{i}]")
-                                 for i, a in enumerate(_list(doc, "alphas")))
-    if "seeds" in doc:
-        kwargs["seeds"] = tuple(_cast(int, s, f"seeds[{i}]")
-                                for i, s in enumerate(_list(doc, "seeds")))
-    if "methods" in doc:
-        kwargs["methods"] = tuple(_list(doc, "methods"))
+    schema = _field_types(GridConfig, _GRID_KEYS)
+    kwargs = {key: _cast(schema[key], doc[key], key) for key in _GRID_KEYS if key in doc}
+    kwargs["tasks"] = tuple(_parse_task(t, i) for i, t in enumerate(_items(doc["tasks"], "tasks")))
     if "corrections" in doc:
-        kwargs["corrections"] = tuple(
-            _parse_corrections(c, i) for i, c in enumerate(_list(doc, "corrections"))
-        )
-    if "estimators" in doc:
-        kwargs["estimators"] = tuple(_list(doc, "estimators"))
-    kwargs["seed"] = _cast(int, doc.get("seed", 0), "seed")
-    if "output_dir" in doc:
-        kwargs["output_dir"] = _str(doc["output_dir"], "output_dir")
-
-    model = doc.get("model", {})
-    _check_keys(model, {"kind", "hidden_units"}, set(), "model")
-    kwargs["model_kind"] = _str(model.get("kind", "logistic"), "model.kind")
-    kwargs["hidden_units"] = _field(model, "hidden_units", int, "model", 32)
-
-    train = doc.get("train", {})
-    _check_keys(train, {"epochs", "batch_size", "learning_rate", "l2"}, set(), "train")
-    defaults = TrainConfig()
-    kwargs["train"] = TrainConfig(
-        epochs=_field(train, "epochs", int, "train", defaults.epochs),
-        batch_size=_field(train, "batch_size", int, "train", defaults.batch_size),
-        learning_rate=_field(train, "learning_rate", float, "train", defaults.learning_rate),
-        l2=_field(train, "l2", float, "train", defaults.l2),
-    )
-
-    pl = doc.get("pseudolabel", {})
-    _check_keys(pl, {"tau", "lambda_max", "ramp_fraction"}, set(), "pseudolabel")
-    pl_defaults = PseudoLabelConfig()
-    kwargs["pseudolabel"] = PseudoLabelConfig(
-        tau=_field(pl, "tau", float, "pseudolabel", pl_defaults.tau),
-        lambda_max=_field(pl, "lambda_max", float, "pseudolabel", pl_defaults.lambda_max),
-        ramp_fraction=_field(pl, "ramp_fraction", float, "pseudolabel",
-                             pl_defaults.ramp_fraction),
-    )
+        kwargs["corrections"] = tuple(_parse_corrections(c, i) for i, c
+                                      in enumerate(_items(doc["corrections"], "corrections")))
+    model = _field_types(ModelSpec, ("kind", "hidden_units"))
+    for key, value in _read_fields(doc.get("model", {}), model, (), "model").items():
+        kwargs["model_kind" if key == "kind" else key] = value
+    for section, cls, keys in (("train", TrainConfig, _TRAIN_KEYS),
+                               ("pseudolabel", PseudoLabelConfig, None)):
+        if section in doc:
+            kwargs[section] = cls(**_read_fields(doc[section], _field_types(cls, keys), (),
+                                                 section))
     return GridConfig(**kwargs)
 
 
@@ -350,20 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     adapt = sub.add_parser("adapt", help="train a corrected model on a bundle")
     adapt.add_argument("--bundle", required=True, help="task bundle directory")
-    adapt.add_argument("--method", default="source_only",
-                       choices=("source_only", "pseudolabel", "iw_erm"))
+    adapt.add_argument("--method", default="source_only", choices=ALGORITHMS)
     adapt.add_argument("--corrections", default="none",
                        help="none, rs, rw, or rs+rw")
     adapt.add_argument("--estimator", default=None, choices=ESTIMATORS,
                        help="marginal estimator used with rw (default rlls)")
-    adapt.add_argument("--model", default="logistic", choices=("logistic", "mlp"))
-    adapt.add_argument("--hidden-units", type=int, default=32)
-    adapt.add_argument("--epochs", type=int, default=TrainConfig().epochs)
-    adapt.add_argument("--batch-size", type=int, default=TrainConfig().batch_size)
-    adapt.add_argument("--learning-rate", type=float,
-                       default=TrainConfig().learning_rate)
-    adapt.add_argument("--l2", type=float, default=TrainConfig().l2)
-    adapt.add_argument("--seed", type=int, default=0)
+    adapt.add_argument("--model", default="logistic", choices=MODEL_KINDS)
+    adapt.add_argument("--hidden-units", type=int, default=ModelSpec.hidden_units)
+    adapt.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    adapt.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    adapt.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    adapt.add_argument("--l2", type=float, default=TrainConfig.l2)
+    adapt.add_argument("--seed", type=int, default=TrainConfig.seed)
     adapt.add_argument("--out", default="model.json", help="model output path")
     adapt.set_defaults(func=cmd_adapt)
 
@@ -373,12 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--d", type=int, required=True)
     synth.add_argument("--n-source", type=int, required=True)
     synth.add_argument("--n-target", type=int, required=True)
-    synth.add_argument("--class-separation", type=float, default=2.0)
+    synth.add_argument("--class-separation", type=float,
+                       default=SynthTaskSpec.class_separation)
     synth.add_argument("--alpha", type=_positive_or_none_alpha, default=None,
                        help="Dirichlet severity; 'none' disables the shift")
-    synth.add_argument("--epsilon", type=float, default=0.0,
+    synth.add_argument("--epsilon", type=float, default=ShiftSpec.epsilon,
                        help="conditional-shift budget")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int, default=SynthTaskSpec.seed)
     synth.add_argument("--out", required=True, help="bundle output directory")
     synth.set_defaults(func=cmd_synth)
 

@@ -9,8 +9,12 @@ the package hands over the arrays it has just made, and copies any other.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,3 +366,80 @@ def weights_to_marginal(weights, source_marginal) -> LabelMarginal:
     if total <= 0:
         raise DegenerateEstimateError("w(y) * p_s(y) has zero total mass")
     return LabelMarginal(mass / total)
+
+
+# ---------------------------------------------------------------------------
+# Checked reading of the JSON objects the package reads back: grid configs,
+# results records and bundle manifests. A key's type is the annotation of the
+# dataclass field it sets.
+
+
+@functools.cache
+def _field_types(cls, names: tuple | None = None) -> types.MappingProxyType:
+    """{name: annotated type} for the named fields of a dataclass, or for all
+    of its fields, in order. Resolved when a file is first read, not at
+    import, since get_type_hints evaluates every annotation of the class."""
+    hints = typing.get_type_hints(cls)
+    names = names or [f.name for f in dataclasses.fields(cls)]
+    return types.MappingProxyType({name: hints[name] for name in names})
+
+
+def _required_fields(cls) -> set:
+    """The fields of a dataclass that have no default."""
+    return {f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+
+
+def _check_keys(obj, allowed, required, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ParseError(f"{where}: missing required key {missing[0]!r}")
+
+
+def _items(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _cast(kind, value, where: str):
+    """value as the annotated type kind, or a ParseError naming where.
+
+    None fits only an optional type, and a list only a tuple[X, ...], whose
+    items are cast to X. A str takes only a string. An int or float takes
+    what its constructor takes except a bool, and an int no float with a
+    fraction, which int() would drop. Any other kind is called on the value.
+    """
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(_cast(item, v, f"{where}[{i}]") for i, v in enumerate(_items(value, where)))
+    if kind not in (str, int, float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, LabelShiftError) as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    fits = isinstance(value, str) if kind is str else not isinstance(value, bool)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        fits = False
+    if fits:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParseError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _read_fields(obj, schema: dict, required, where: str) -> dict:
+    """The keys a JSON object sets, each cast to its type in schema. A key
+    outside schema, or a required key the object lacks, is a ParseError."""
+    _check_keys(obj, schema, required, where)
+    return {key: _cast(schema[key], value, f"{where}.{key}") for key, value in obj.items()}

@@ -34,6 +34,8 @@ from labelshift.core import (
     ParseError,
     PredictionMatrix,
     RngStream,
+    _field_types,
+    _read_fields,
     _sealed,
 )
 
@@ -86,6 +88,10 @@ class SynthTaskSpec:
             raise InvalidInputError("class_separation must be positive")
 
 
+# A bundle's labeled splits; a bundle directory stores each as <split>.csv.
+_SPLITS = ("source_train", "source_val", "target_train", "target_test")
+
+
 @dataclass(frozen=True, eq=False)
 class TaskBundle:
     """A fully materialized benchmark task: four labeled splits plus the
@@ -108,13 +114,8 @@ class TaskBundle:
     true_target_marginal: LabelMarginal
 
     def __post_init__(self):
-        sets = {
-            "source_train": self.source_train,
-            "source_val": self.source_val,
-            "target_train": self.target_train,
-            "target_test": self.target_test,
-        }
-        for label, ds in sets.items():
+        for label in _SPLITS:
+            ds = getattr(self, label)
             if ds.d != self.d:
                 raise DimensionError(f"{label} has d={ds.d}, manifest says {self.d}")
             if ds.labels.max() >= self.k:
@@ -344,6 +345,7 @@ def synth_relaxed_task(task: SynthTaskSpec, shift: ShiftSpec) -> TaskBundle:
 # Persistence: labeled CSVs and bundle directories.
 
 _HEADER_RE = re.compile(r"^f(\d+)$")
+# The TaskBundle fields manifest.json holds, in the order it writes them.
 _MANIFEST_KEYS = ("name", "k", "d", "alpha", "epsilon", "seed", "true_target_marginal")
 
 
@@ -471,35 +473,23 @@ def _load_labeled_lines(path: Path) -> LabeledSet:
         raise ParseError(f"{path}: {exc}") from None
 
 
-_BUNDLE_FILES = {
-    "source_train": "source_train.csv",
-    "source_val": "source_val.csv",
-    "target_train": "target_train.csv",
-    "target_test": "target_test.csv",
-}
-
-
 def save_bundle(bundle: TaskBundle, directory) -> None:
     """Persist a bundle as four CSVs plus manifest.json in a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for attr, fname in _BUNDLE_FILES.items():
-        save_labeled_csv(directory / fname, getattr(bundle, attr))
-    manifest = {
-        "name": bundle.name,
-        "k": bundle.k,
-        "d": bundle.d,
-        "alpha": bundle.alpha,
-        "epsilon": bundle.epsilon,
-        "seed": bundle.seed,
-        "true_target_marginal": bundle.true_target_marginal.probs.tolist(),
-    }
+    for split in _SPLITS:
+        save_labeled_csv(directory / f"{split}.csv", getattr(bundle, split))
+    manifest = {key: getattr(bundle, key) for key in _MANIFEST_KEYS}
+    manifest["true_target_marginal"] = bundle.true_target_marginal.probs.tolist()
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
 def load_bundle(directory) -> TaskBundle:
+    """Read a bundle directory. Each manifest key is cast to the type of its
+    TaskBundle field; a bad, unknown or missing key is a ParseError naming
+    the manifest and the key."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -509,25 +499,10 @@ def load_bundle(directory) -> TaskBundle:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{manifest_path}: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{manifest_path}: manifest must be a JSON object")
-    unknown = sorted(set(manifest) - set(_MANIFEST_KEYS))
-    if unknown:
-        raise ParseError(f"{manifest_path}: unknown manifest keys {unknown}")
-    missing = sorted(set(_MANIFEST_KEYS) - set(manifest))
-    if missing:
-        raise ParseError(f"{manifest_path}: missing manifest keys {missing}")
-    sets = {attr: load_labeled_csv(directory / fname) for attr, fname in _BUNDLE_FILES.items()}
+    values = _read_fields(manifest, _field_types(TaskBundle, _MANIFEST_KEYS), _MANIFEST_KEYS,
+                          f"{manifest_path}: manifest")
+    sets = {split: load_labeled_csv(directory / f"{split}.csv") for split in _SPLITS}
     try:
-        return TaskBundle(
-            name=manifest["name"],
-            k=int(manifest["k"]),
-            d=int(manifest["d"]),
-            alpha=None if manifest["alpha"] is None else float(manifest["alpha"]),
-            epsilon=float(manifest["epsilon"]),
-            seed=int(manifest["seed"]),
-            true_target_marginal=LabelMarginal(np.asarray(manifest["true_target_marginal"])),
-            **sets,
-        )
+        return TaskBundle(**values, **sets)
     except (InvalidInputError, DimensionError) as exc:
         raise ParseError(f"{directory}: inconsistent bundle: {exc}") from None

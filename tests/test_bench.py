@@ -35,6 +35,7 @@ from labelshift.bench import (
     write_predictions,
     write_summary_csv,
 )
+from labelshift.cli import main
 from labelshift.core import (
     DegenerateEstimateError,
     DimensionError,
@@ -204,6 +205,8 @@ class TestGridConfigValidation:
             GridTask(name="x", synth=synth_task().synth, data_dir="somewhere")
         with pytest.raises(InvalidInputError):
             GridTask(name="x", data_dir="d", epsilon=-0.5)
+        with pytest.raises(InvalidInputError, match="epsilon"):
+            GridTask(name="x", data_dir="d", epsilon=0.5)
 
 
 class TestBuildBundle:
@@ -569,6 +572,36 @@ class TestRecordIO:
         # Without its newline the same line is a torn tail and is skipped.
         path.write_text(json.dumps(baseline().to_json_dict()) + "\n{broken")
         assert read_records(path) == [baseline()]
+
+    @pytest.mark.parametrize("line, where", [
+        ([1, 2], "record: expected an object"),
+        ({"seed": None}, "record.seed: "),
+        ({"seed": "x"}, "record.seed: "),
+        ({"seed": 1.5}, "record.seed: "),
+        ({"alpha": True}, "record.alpha: "),
+        ({"true_marginal": 5}, "record.true_marginal: "),
+        ({"true_marginal": [0.5, "x"]}, "record.true_marginal[1]: "),
+        ({"task_id": 3}, "record.task_id: "),
+        ({"method": None}, "record.method: "),
+    ], ids=["list", "null-seed", "string-seed", "fractional-seed", "bool-alpha",
+            "number-marginal", "string-in-marginal", "number-task-id", "null-method"])
+    def test_bad_line_names_its_place_and_field(self, tmp_path, capsys, line, where):
+        if isinstance(line, dict):
+            line = {**baseline().to_json_dict(), **line}
+        path = tmp_path / RESULTS_FILENAME
+        path.write_text(json.dumps(baseline().to_json_dict()) + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_records(path)
+        assert str(info.value).startswith(f"{path}:2: {where}")
+        # Both commands that read a results file refuse it with one line.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"output_dir": str(tmp_path), "tasks": [
+            {"name": "t", "k": 2, "d": 2, "n_source": 20, "n_target": 20}]}))
+        for argv in (["report", "--results", str(path), "--out", str(tmp_path / "s.csv")],
+                     ["run", "--config", str(config), "--resume"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:2: {where}") and err.count("\n") == 1
 
 
 class TestAggregate:

@@ -15,7 +15,7 @@ import labelshift
 import labelshift.bench as bench_module
 import labelshift.estimate as estimate_module
 from labelshift.bench import SUMMARY_HEADER, read_records, write_predictions
-from labelshift.cli import main
+from labelshift.cli import load_grid_config, main
 from labelshift.core import PredictionMatrix
 
 
@@ -100,8 +100,12 @@ class TestRun:
         ({"tasks": [{"name": 7, "k": 2, "d": 2, "n_source": 120, "n_target": 120}]},
          "tasks[0].name"),
         ({"tasks": [{"name": "pool", "data_dir": 5}]}, "tasks[0].data_dir"),
+        ({"tasks": [{"name": "pool", "data_dir": None}]}, "tasks[0].data_dir"),
         ({"tasks": [{"name": 7, "data_dir": "pools"}]}, "tasks[0].name"),
         ({"model": {"kind": ["mlp"]}}, "model.kind"),
+        ({"seeds": [1.7]}, "seeds[0]"),
+        ({"train": {"epochs": 2.9}}, "train.epochs"),
+        ({"train": {"learning_rate": True}}, "train.learning_rate"),
     ])
     def test_wrongly_typed_value_is_a_one_line_error(self, tmp_path, capsys, override,
                                                      where):
@@ -109,6 +113,21 @@ class TestRun:
         assert main(["run", "--config", str(config), "--dry-run"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+    def test_dataset_task_takes_no_epsilon(self, tmp_path, capsys):
+        config = write_config(tmp_path, tasks=[{"name": "pool", "data_dir": "pools",
+                                                "epsilon": 0.5}])
+        assert main(["run", "--config", str(config), "--dry-run"]) == 1
+        assert capsys.readouterr().err == "error: tasks[0]: unknown key 'epsilon'\n"
+
+    def test_readme_config_example_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Grid config\n", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config = tmp_path / "config.json"
+        config.write_text(example)
+        cfg = load_grid_config(config)
+        assert [task.name for task in cfg.tasks] == ["blobs", "mydata"]
 
     def test_bad_corrections_token(self, tmp_path, capsys):
         config = write_config(tmp_path, corrections=["rs+magic"])

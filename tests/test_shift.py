@@ -359,3 +359,7 @@ class TestPersistence:
         manifest.write_text(data.replace('"k": 2', '"k": 2, "extra": 1'))
         with pytest.raises(ParseError, match="extra"):
             load_bundle(tmp_path / "b")
+        for bad in ("null", "2.5", "true"):
+            manifest.write_text(data.replace('"k": 2', f'"k": {bad}'))
+            with pytest.raises(ParseError, match=r"manifest\.json: manifest\.k: expected int"):
+                load_bundle(tmp_path / "b")
