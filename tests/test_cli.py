@@ -100,12 +100,12 @@ class TestRun:
         ({"tasks": [{"name": 7, "k": 2, "d": 2, "n_source": 120, "n_target": 120}]},
          "tasks[0].name"),
         ({"tasks": [{"name": "pool", "data_dir": 5}]}, "tasks[0].data_dir"),
-        ({"tasks": [{"name": "pool", "data_dir": None}]}, "tasks[0].data_dir"),
         ({"tasks": [{"name": 7, "data_dir": "pools"}]}, "tasks[0].name"),
         ({"model": {"kind": ["mlp"]}}, "model.kind"),
         ({"seeds": [1.7]}, "seeds[0]"),
         ({"train": {"epochs": 2.9}}, "train.epochs"),
         ({"train": {"learning_rate": True}}, "train.learning_rate"),
+        ({"tasks": [{"name": "pool", "data_dir": None}]}, "tasks[0].data_dir"),
     ])
     def test_wrongly_typed_value_is_a_one_line_error(self, tmp_path, capsys, override,
                                                      where):
