@@ -35,6 +35,8 @@ from labelshift.core import (
     ParseError,
     PredictionMatrix,
     RngStream,
+    _cast,
+    _field_types,
 )
 from labelshift.estimate import (
     EstimatorOutput,
@@ -726,13 +728,10 @@ def load_model(path) -> Model:
                 "training_log", "loss_log"}
     if not isinstance(payload, dict) or set(payload) != required:
         raise ParseError(f"{path}: model file must contain exactly the keys {sorted(required)}")
+    spec_fields = {key: _cast(kind, payload[key], f"{path}: model.{key}")
+                   for key, kind in _field_types(ModelSpec).items()}
     try:
-        spec = ModelSpec(
-            kind=payload["kind"],
-            input_dim=int(payload["input_dim"]),
-            classes=int(payload["classes"]),
-            hidden_units=int(payload["hidden_units"]),
-        )
+        spec = ModelSpec(**spec_fields)
         return Model(spec, np.asarray(payload["parameters"], dtype=np.float64),
                      tuple(payload["training_log"]), tuple(payload["loss_log"]))
     except (InvalidInputError, DimensionError, TypeError, ValueError) as exc:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -464,31 +464,61 @@ def _record_order(record: RunRecord):
     return (task_id, _alpha_order(alpha), *rest)
 
 
-def _pools_in_order(groups: list[list[Cell]]):
-    """Each coordinate's dataset pools, or None for a synthetic task. The
-    coordinates come task by task, so a task's pools are read when its first
-    coordinate comes up and dropped at the next task; a process pool's map
-    takes every argument up front, so with workers it holds them until their
-    coordinates finish. After a failed read, None lets each coordinate read
-    them itself and record the error."""
-    name, pools = None, None
-    for group in groups:
-        task = group[0].task
-        if task.name != name:
-            name, pools = task.name, None
-            if task.data_dir is not None:
-                try:
-                    pools = load_pools(task)
-                except Exception:  # reported by each of the task's coordinates
-                    pass
-        yield pools
+# A worker's (config, pools), set once when the worker starts.
+_worker_state = None
+
+
+def _start_worker(cfg: GridConfig, pools) -> None:
+    global _worker_state
+    _worker_state = cfg, pools
+
+
+def _run_in_worker(cells: list[Cell]) -> list[RunRecord]:
+    cfg, pools = _worker_state
+    return run_coordinate(cfg, cells, pools)
+
+
+def _pools_key(cells: list[Cell]) -> str | None:
+    """The dataset task whose pools a coordinate uses, or None if synthetic."""
+    task = cells[0].task
+    return None if task.data_dir is None else task.name
+
+
+def _run_pools_group(cfg: GridConfig, groups: list[list[Cell]], jobs: int):
+    """Yield each coordinate's records in order, for coordinates that share
+    their pools: a dataset task's, or none for a run of synthetic tasks. A
+    dataset task's pools are read here, once; after a failed read, None lets
+    each coordinate read them itself and record the error. With workers, the
+    pools go to each worker once, as it starts: a forked worker inherits
+    them, and any other is sent them pickled."""
+    task = groups[0][0].task
+    pools = None
+    if task.data_dir is not None:
+        try:
+            pools = load_pools(task)
+        except Exception:  # reported by each of the task's coordinates
+            pass
+    workers = min(jobs, len(groups))
+    if workers == 1:
+        for cells in groups:
+            yield run_coordinate(cfg, cells, pools)
+        return
+    # Imported here: concurrent.futures.process loads multiprocessing (11-16
+    # ms and 1 MB of peak memory), which a serial run never needs.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, initializer=_start_worker,
+                             initargs=(cfg, pools)) as executor:
+        yield from executor.map(_run_in_worker, groups)
 
 
 def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRecord]:
     """Run every planned cell, appending each record to
     output_dir/results.jsonl through a single writer, coordinate by
     coordinate in plan order. With jobs > 1, up to jobs worker processes run
-    coordinates; the file order is the same as a serial run's.
+    coordinates: one set of workers per dataset task, and one per run of
+    consecutive synthetic tasks. The parent reads a dataset task's pools
+    when its workers start, and holds one task's pools at a time. The file
+    order is the same as a serial run's.
 
     With resume=True, cells that already have a successful record are
     skipped and failed cells run again; a torn final line is cut off before
@@ -526,25 +556,15 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     for cell in cells:
         if cell.key() not in done_keys:
             coordinates.setdefault((cell.task.name, cell.alpha, cell.seed), []).append(cell)
-    groups = list(coordinates.values())
-    workers = min(jobs, len(groups))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with ExitStack() as stack:
-        run_all = map
-        if workers > 1:
-            # Imported here: concurrent.futures.process loads multiprocessing
-            # (11-16 ms and 1 MB of peak memory), which a serial run never
-            # needs.
-            from concurrent.futures import ProcessPoolExecutor
-            run_all = stack.enter_context(ProcessPoolExecutor(workers)).map
-        fh = stack.enter_context(open(results_path, "a"))
-        # Both maps yield in submission order, so the file is in plan order.
-        for batch in run_all(run_coordinate, [cfg] * len(groups), groups,
-                             _pools_in_order(groups)):
-            for record in batch:
-                fh.write(json.dumps(record.to_json_dict()) + "\n")
-                fh.flush()
-            records.extend(batch)
+    with open(results_path, "a") as fh:
+        # Plan order keeps a task's coordinates together.
+        for _, groups in groupby(coordinates.values(), key=_pools_key):
+            for batch in _run_pools_group(cfg, list(groups), jobs):
+                for record in batch:
+                    fh.write(json.dumps(record.to_json_dict()) + "\n")
+                    fh.flush()
+                records.extend(batch)
     return sorted(records, key=_record_order)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -253,6 +254,13 @@ def _positive_or_none_alpha(value: str):
     return float(value)
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="labelshift",
                      description="Label-shift adaptation benchmark toolkit")
@@ -260,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a benchmark grid from a JSON config")
     run.add_argument("--config", required=True, help="path to the grid config JSON")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=int, default=_available_cpus(),
                      help="run up to N (task, alpha, seed) coordinates at once in worker "
-                          "processes; results.jsonl keeps the serial order (default 1)")
+                          "processes; results.jsonl keeps the serial order (default: the "
+                          "CPUs this process may use, here %(default)s)")
     run.add_argument("--resume", action="store_true",
                      help="skip cells already present in the results file")
     run.add_argument("--dry-run", action="store_true",

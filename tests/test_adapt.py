@@ -781,6 +781,35 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="exactly the keys"):
             load_model(path)
 
+    @pytest.mark.parametrize("key,value", [
+        ("hidden_units", 32.9), ("hidden_units", True), ("hidden_units", None),
+        ("input_dim", 2.5), ("classes", False), ("kind", 5),
+    ])
+    def test_mistyped_spec_field_names_file_and_key(self, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "model.json"
+        payload = {"kind": "mlp", "input_dim": 2, "classes": 2, "hidden_units": 32,
+                   "parameters": [0.0] * (2 * 32 + 32 + 32 * 2 + 2),
+                   "training_log": [], "loss_log": [], key: value}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ParseError) as info:
+            load_model(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: model.{key}: ") and "\n" not in message
+
+    def test_integral_float_reads_as_int(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        payload = {"kind": "mlp", "input_dim": 2, "classes": 2, "hidden_units": 16.0,
+                   "parameters": [0.0] * (2 * 16 + 16 + 16 * 2 + 2),
+                   "training_log": [], "loss_log": []}
+        path.write_text(json.dumps(payload))
+        spec = load_model(path).spec
+        assert spec == ModelSpec("mlp", 2, 2, hidden_units=16)
+        assert type(spec.hidden_units) is int
+
     def test_rejects_bad_kind(self, tmp_path):
         import json
 

@@ -3,8 +3,10 @@
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -454,6 +456,75 @@ class TestRunGrid:
         assert len(serial) == 15 * 2
         assert all(r.error is None for r in serial)
         assert [strip(r) for r in parallel] == [strip(r) for r in serial]
+
+    def write_pool_tasks(self, tmp_path, count):
+        tasks = []
+        for t in range(count):
+            pool_dir = tmp_path / f"pools{t}"
+            pool_dir.mkdir()
+            save_labeled_csv(pool_dir / "source.csv", make_blobs(3, 3, 300, 3.0, seed=2 * t))
+            save_labeled_csv(pool_dir / "target.csv", make_blobs(3, 3, 300, 3.0, seed=2 * t + 1))
+            tasks.append(GridTask(name=f"disk{t}", data_dir=str(pool_dir)))
+        return tuple(tasks)
+
+    def test_parent_reads_one_task_pools_at_a_time(self, tmp_path, monkeypatch):
+        cfg = tiny_grid(tmp_path, tasks=self.write_pool_tasks(tmp_path, 3), seeds=(0, 1))
+        results = tmp_path / "out" / RESULTS_FILENAME
+        original = bench_module.load_pools
+        reads, earlier = [], []
+
+        def logged(task):
+            written = results.read_text().splitlines() if results.exists() else []
+            reads.append((task.name, os.getpid(), [json.loads(line)["task_id"] for line in written],
+                          [ref() is not None for ref in earlier]))
+            pools = original(task)
+            earlier.append(weakref.ref(pools[0]))
+            return pools
+
+        monkeypatch.setattr(bench_module, "load_pools", logged)
+        run_grid(cfg, jobs=2)
+        per_task = 2 * 2 * 2  # alphas x seeds x corrections
+        assert [name for name, *_ in reads] == ["disk0", "disk1", "disk2"]
+        for t, (_, pid, written, alive) in enumerate(reads):
+            assert pid == os.getpid()
+            # The previous task's last record is in the file, and its pools
+            # are no longer held.
+            assert written == [f"disk{i}" for i in range(t) for _ in range(per_task)]
+            assert alive == [False] * t
+
+    def test_spawned_workers_receive_the_pools(self, tmp_path):
+        # The parent reads the pools from a directory the task does not name,
+        # so a worker that did not receive them would fail every cell.
+        script = """
+import json, multiprocessing, sys
+from labelshift import bench
+from labelshift.adapt import TrainConfig
+
+multiprocessing.set_start_method("spawn")
+pools_dir, out = sys.argv[1:3]
+original = bench.load_pools
+bench.load_pools = lambda task: original(bench.GridTask(task.name, data_dir=pools_dir))
+rows = []
+for jobs in (1, 2):
+    cfg = bench.GridConfig(tasks=(bench.GridTask("disk", data_dir=out + "/missing"),),
+                           alphas=(None, 0.5), seeds=(0, 1), methods=("source_only",),
+                           seed=11, output_dir=f"{out}/jobs{jobs}",
+                           train=TrainConfig(epochs=2, batch_size=64))
+    rows.append([r.to_json_dict() for r in bench.run_grid(cfg, jobs=jobs)])
+    for row in rows[-1]:
+        row.pop("wall_time_seconds")
+print(json.dumps(rows))
+"""
+        (task,) = self.write_pool_tasks(tmp_path, 1)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, task.data_dir, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        serial, spawned = json.loads(proc.stdout)
+        assert len(serial) == 2 * 2 * 2
+        assert all("error" not in row for row in serial)
+        assert spawned == serial
 
     def test_iw_erm_epoch_zero_weights_do_not_sink_the_model(self, tmp_path):
         # A coordinate where unregularized RLLS on the untrained mlp returned

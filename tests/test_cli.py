@@ -15,8 +15,10 @@ import labelshift
 import labelshift.bench as bench_module
 import labelshift.estimate as estimate_module
 from labelshift.bench import SUMMARY_HEADER, read_records, write_predictions
-from labelshift.cli import load_grid_config, main
+from labelshift.cli import build_parser, load_grid_config, main
 from labelshift.core import PredictionMatrix
+from labelshift.shift import save_labeled_csv
+from tests.test_adapt import make_blobs
 
 
 def write_config(tmp_path, **overrides):
@@ -205,6 +207,33 @@ class TestRun:
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--jobs", "4"]) == 0
         assert len((tmp_path / "out" / "results.jsonl").read_text().splitlines()) == 4
+
+    def test_default_jobs_match_serial(self, tmp_path, capsys):
+        pools = tmp_path / "pools"
+        pools.mkdir()
+        for part, seed in (("source", 0), ("target", 1)):
+            save_labeled_csv(pools / f"{part}.csv", make_blobs(3, 3, 300, 3.0, seed=seed))
+        tasks = [{"name": "blob", "k": 2, "d": 2, "n_source": 120, "n_target": 120},
+                 {"name": "wide", "k": 3, "d": 3, "n_source": 120, "n_target": 120},
+                 {"name": "disk", "data_dir": str(pools)}]
+        outputs = []
+        for name, flags in (("serial", ["--jobs", "1"]), ("default", [])):
+            config = write_config(tmp_path, tasks=tasks, seeds=[0, 1],
+                                  output_dir=str(tmp_path / name))
+            assert main(["run", "--config", str(config), *flags]) == 0
+            lines = (tmp_path / name / "results.jsonl").read_text().splitlines()
+            outputs.append(([without_wall_time(line) for line in lines],
+                            (tmp_path / name / "summary.csv").read_bytes()))
+        assert len(outputs[0][0]) == 3 * 2 * 2 * 2
+        assert outputs[1] == outputs[0]
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        args = build_parser().parse_args(["run", "--config", str(config)])
+        assert args.jobs == cpus
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--jobs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "jobs" in err
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only forked workers see the monkeypatched build_bundle")
