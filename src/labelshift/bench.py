@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -43,6 +44,8 @@ from labelshift.core import (
     PredictionMatrix,
     RngStream,
     _field_types,
+    _fork_pays,
+    _read_pair,
     _read_fields,
     _required_fields,
     l1_distance,
@@ -59,6 +62,10 @@ from labelshift.shift import (
 
 RESULTS_FILENAME = "results.jsonl"
 SUMMARY_FILENAME = "summary.csv"
+# The config that made the records in results.jsonl, kept beside it.
+CONFIG_FILENAME = "results_config.json"
+# Grid axes: changing one only adds or removes cells, so a resume may.
+_AXES = ("alphas", "seeds", "methods", "corrections", "estimators")
 
 
 @dataclass(frozen=True)
@@ -308,10 +315,11 @@ def _derived_seed(top_seed: int, *labels) -> int:
     return RngStream(top_seed).derive(*labels).stream_id
 
 
-def load_pools(task: GridTask) -> tuple[LabeledSet, LabeledSet]:
-    """Read a dataset task's source and target pools."""
-    base = Path(task.data_dir)
-    return load_labeled_csv(base / "source.csv"), load_labeled_csv(base / "target.csv")
+def load_pools(task: GridTask, jobs: int = 1) -> tuple[LabeledSet, LabeledSet]:
+    """Read a dataset task's source and target pools, both at once when
+    jobs > 1 and they are large enough for that to pay."""
+    source, target = Path(task.data_dir) / "source.csv", Path(task.data_dir) / "target.csv"
+    return _read_pair(load_labeled_csv, source, target, _fork_pays(jobs, source, target))
 
 
 def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int,
@@ -455,6 +463,53 @@ def read_records(path) -> list[RunRecord]:
     return records
 
 
+def _config_document(cfg: GridConfig) -> dict:
+    """cfg as CONFIG_FILENAME holds it: every field but output_dir, as JSON
+    values."""
+    doc = asdict(cfg)
+    del doc["output_dir"]
+    return json.loads(json.dumps(doc))
+
+
+def _record_inputs(doc: dict, names) -> dict:
+    """What in a config document decides the values of its records: every
+    field but the axes, with the tasks named in names keyed by name."""
+    inputs = {key: value for key, value in doc.items() if key not in _AXES}
+    inputs["tasks"] = {task["name"]: task for task in doc["tasks"] if task["name"] in names}
+    return inputs
+
+
+def _first_difference(old, new, where: str = ""):
+    """(dotted path, old value, new value) of the first field where two JSON
+    values differ, in new's order, or None when they are equal."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        pairs = [(old.get(key), new.get(key), f"{where}.{key}" if where else key)
+                 for key in {**new, **old}]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        pairs = [(a, b, f"{where}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        return None if old == new else (where, old, new)
+    return next(filter(None, (_first_difference(a, b, path) for a, b, path in pairs)), None)
+
+
+def _check_same_records(config_path: Path, stored, current: dict) -> None:
+    """Refuse to resume records that another config made. The axes may
+    change, and tasks may come and go; a task kept must be the same."""
+    if not (isinstance(stored, dict) and isinstance(stored.get("tasks"), list)
+            and all(isinstance(task, dict) and "name" in task for task in stored["tasks"])):
+        raise ParseError(f"{config_path}: not a grid config document")
+    names = ({task["name"] for task in stored["tasks"]}
+             & {task["name"] for task in current["tasks"]})
+    found = _first_difference(_record_inputs(stored, names), _record_inputs(current, names))
+    if found is not None:
+        field, old, new = found
+        raise InvalidInputError(
+            f"{config_path.parent / RESULTS_FILENAME} holds records of another config: "
+            f"{field} is {json.dumps(old)} in {config_path}, {json.dumps(new)} now; "
+            "use a new output_dir"
+        )
+
+
 def _alpha_order(alpha):
     return (0, 0.0) if alpha is None else (1, -float(alpha))
 
@@ -495,7 +550,7 @@ def _run_pools_group(cfg: GridConfig, groups: list[list[Cell]], jobs: int):
     pools = None
     if task.data_dir is not None:
         try:
-            pools = load_pools(task)
+            pools = load_pools(task, jobs)
         except Exception:  # reported by each of the task's coordinates
             pass
     workers = min(jobs, len(groups))
@@ -524,7 +579,12 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     skipped and failed cells run again; a torn final line is cut off before
     appending. The result holds one record per planned cell, the latest one
     for a retried cell. Without resume, a nonempty results file is an error so
-    runs never silently mix configurations. A worker process that dies
+    runs never silently mix configurations. The config, but for output_dir,
+    is kept in output_dir/results_config.json, replaced whole when it
+    changes; a resume whose config
+    differs from it in anything but the axes (alphas, seeds, methods,
+    corrections, estimators), or in a task it keeps, is an error naming the
+    first such field. A worker process that dies
     raises concurrent.futures.process.BrokenProcessPool; the records already
     written stay, and resume completes the grid.
     """
@@ -547,6 +607,19 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
             if not data.endswith(b"\n"):
                 fh.truncate(data.rfind(b"\n") + 1)
         existing = read_records(results_path)
+    config = _config_document(cfg)
+    config_path = out_dir / CONFIG_FILENAME
+    stored = None
+    if existing and config_path.exists():
+        with open(config_path) as fh:
+            try:
+                stored = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{config_path}:{exc.lineno}: {exc.msg}") from None
+        _check_same_records(config_path, stored, config)
+        # Keep the tasks this run drops: their records stay in the file.
+        names = {task["name"] for task in config["tasks"]}
+        config["tasks"] += [task for task in stored["tasks"] if task["name"] not in names]
     planned_keys = {c.key() for c in cells}
     # A retried cell appends after its error record, so the last one wins.
     latest = {r.key(): r for r in existing if r.key() in planned_keys}
@@ -557,6 +630,11 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
         if cell.key() not in done_keys:
             coordinates.setdefault((cell.task.name, cell.alpha, cell.seed), []).append(cell)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if config != stored:
+        # Written whole and then renamed, so a crash never leaves a torn one.
+        partial = out_dir / (CONFIG_FILENAME + ".partial")
+        partial.write_text(json.dumps(config, indent=2) + "\n")
+        os.replace(partial, config_path)
     with open(results_path, "a") as fh:
         # Plan order keeps a task's coordinates together.
         for _, groups in groupby(coordinates.values(), key=_pools_key):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
@@ -53,10 +52,13 @@ from labelshift.core import (
     LabelShiftError,
     PairingError,
     ParseError,
+    _available_cpus,
     _cast,
     _check_keys,
     _field_types,
+    _fork_pays,
     _items,
+    _read_pair,
     _read_fields,
     _required_fields,
 )
@@ -167,12 +169,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    preds_source, labels = ingest_predictions(args.source, normalize=args.normalize)
-    if labels is None:
-        raise InvalidInputError(
-            f"{args.source} has no y column; the source dump must be labeled"
-        )
-    preds_target, _ = ingest_predictions(args.target, normalize=args.normalize)
+    def read(dump):
+        path, labeled = dump
+        preds, labels = ingest_predictions(path, normalize=args.normalize)
+        if labeled and labels is None:
+            raise InvalidInputError(f"{path} has no y column; the source dump must be labeled")
+        return preds, labels
+
+    (preds_source, labels), (preds_target, _) = _read_pair(
+        read, (args.source, True), (args.target, False),
+        _fork_pays(_available_cpus(), args.source, args.target))
     p_s = None
     if args.p_source is not None:
         p_s = LabelMarginal([float(v) for v in args.p_source.split(",")])
@@ -252,13 +258,6 @@ def _positive_or_none_alpha(value: str):
     if value.lower() == "none":
         return None
     return float(value)
-
-
-def _available_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -421,19 +421,24 @@ class TestRunGrid:
         pool_dir.mkdir()
         save_labeled_csv(pool_dir / "source.csv", make_blobs(3, 3, 300, 3.0, seed=0))
         save_labeled_csv(pool_dir / "target.csv", make_blobs(3, 3, 300, 3.0, seed=1))
-        reads = []
+        log = tmp_path / "reads.log"
         original = bench_module.load_labeled_csv
 
         def counted(path):
-            reads.append(Path(path).name)  # list.append cannot lose an update
+            # One O_APPEND write per read: a forked reader's line lands too.
+            with open(log, "a") as fh:
+                fh.write(Path(path).name + "\n")
             return original(path)
+
+        def reads():
+            return log.read_text().split() if log.exists() else []
 
         monkeypatch.setattr(bench_module, "load_labeled_csv", counted)
         grid = dict(tasks=(GridTask(name="disk", data_dir=str(pool_dir)),),
                     alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1, 2))
         serial = run_grid(tiny_grid(tmp_path, output_dir=str(tmp_path / "serial"), **grid))
-        assert sorted(reads) == ["source.csv", "target.csv"]
-        reads.clear()
+        assert sorted(reads()) == ["source.csv", "target.csv"]
+        log.unlink()
         parallel = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -446,7 +451,7 @@ class TestRunGrid:
         finally:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
-        assert sorted(reads) == ["source.csv", "target.csv"]
+        assert sorted(reads()) == ["source.csv", "target.csv"]
 
         def strip(rec):
             d = rec.to_json_dict()
@@ -473,11 +478,11 @@ class TestRunGrid:
         original = bench_module.load_pools
         reads, earlier = [], []
 
-        def logged(task):
+        def logged(task, jobs=1):
             written = results.read_text().splitlines() if results.exists() else []
             reads.append((task.name, os.getpid(), [json.loads(line)["task_id"] for line in written],
                           [ref() is not None for ref in earlier]))
-            pools = original(task)
+            pools = original(task, jobs)
             earlier.append(weakref.ref(pools[0]))
             return pools
 
@@ -503,7 +508,8 @@ from labelshift.adapt import TrainConfig
 multiprocessing.set_start_method("spawn")
 pools_dir, out = sys.argv[1:3]
 original = bench.load_pools
-bench.load_pools = lambda task: original(bench.GridTask(task.name, data_dir=pools_dir))
+bench.load_pools = lambda task, jobs=1: original(bench.GridTask(task.name, data_dir=pools_dir),
+                                                 jobs)
 rows = []
 for jobs in (1, 2):
     cfg = bench.GridConfig(tasks=(bench.GridTask("disk", data_dir=out + "/missing"),),

@@ -188,6 +188,70 @@ class TestRun:
         assert len(resumed) == 5
         assert without_wall_time(resumed[4]) == without_wall_time(lines[1])
 
+    @pytest.mark.parametrize("change, field", [
+        ({"train": {"epochs": 3, "batch_size": 64, "learning_rate": 0.5, "l2": 1e-4}},
+         "train.epochs is 2 in "),
+        ({"seed": 6}, "seed is 5 in "),
+        ({"model": {"kind": "mlp"}}, 'model_kind is "logistic" in '),
+        ({"tasks": [{"name": "blob", "k": 2, "d": 2, "n_source": 150, "n_target": 120,
+                     "class_separation": 3.0}]}, "tasks.blob.synth.n_source is 120 in "),
+    ], ids=["epochs", "seed", "model", "task"])
+    def test_resume_refuses_a_changed_config(self, tmp_path, capsys, change, field):
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+        results = tmp_path / "out" / "results.jsonl"
+        before = results.read_text()
+        capsys.readouterr()
+        assert main(["run", "--config", str(write_config(tmp_path, **change)), "--resume"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {results} holds records of another config: {field}")
+        assert results.read_text() == before
+
+    def test_resume_may_change_the_axes_and_tasks(self, tmp_path, capsys):
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+        capsys.readouterr()
+        other = {"name": "other", "k": 2, "d": 2, "n_source": 100, "n_target": 100}
+        grown = write_config(tmp_path, alphas=[None, 0.5, 1.0], corrections=["none"],
+                             tasks=[other])
+        assert main(["run", "--config", str(grown), "--resume"]) == 0
+        assert "3 records, 0 failed" in capsys.readouterr().out
+        # The dropped task's records stay, so its definition is still checked.
+        blob = {"name": "blob", "k": 2, "d": 2, "n_source": 99, "n_target": 120,
+                "class_separation": 3.0}
+        assert main(["run", "--config", str(write_config(tmp_path, tasks=[blob])),
+                     "--resume"]) == 1
+        assert "tasks.blob.synth.n_source is 120" in capsys.readouterr().err
+
+    def test_run_without_a_stored_config_resumes_as_before(self, tmp_path, capsys):
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+        capsys.readouterr()
+        (tmp_path / "out" / "results_config.json").unlink()
+        changed = write_config(tmp_path, seed=6, alphas=[None, 0.5, 1.0])
+        assert main(["run", "--config", str(changed), "--resume"]) == 0
+        assert "6 records, 0 failed" in capsys.readouterr().out
+
+    def test_resume_keeps_an_unchanged_stored_config(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        stored = tmp_path / "out" / "results_config.json"
+        before = stored.stat()
+        assert main(["run", "--config", str(config), "--resume"]) == 0
+        after = stored.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert sorted(p.name for p in stored.parent.iterdir()) == [
+            "results.jsonl", "results_config.json", "summary.csv"]
+
+    @pytest.mark.parametrize("text", ["", '{\n  "seed": 5,\n  "tasks": ['])
+    def test_torn_stored_config_is_a_one_line_error(self, tmp_path, capsys, text):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        capsys.readouterr()
+        stored = tmp_path / "out" / "results_config.json"
+        stored.write_text(text)
+        assert main(["run", "--config", str(config), "--resume"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {stored}:")
+
     def test_partial_failure_exits_two(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
