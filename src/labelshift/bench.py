@@ -326,8 +326,7 @@ def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int
                  pools: tuple[LabeledSet, LabeledSet] | None = None):
     """Materialize the task bundle for one (task, alpha, seed) coordinate.
     All methods and corrections at that coordinate share this bundle. A
-    dataset task resamples the given pools, or reads them when none are
-    given."""
+    dataset task resamples the given pools."""
     shift = ShiftSpec(
         alpha=alpha,
         epsilon=task.epsilon,
@@ -340,7 +339,9 @@ def build_bundle(cfg: GridConfig, task: GridTask, alpha: float | None, seed: int
             seed=_derived_seed(cfg.seed, "bundle", task.name, alpha, seed),
         )
         return synth_relaxed_task(spec, shift)
-    source_pool, target_pool = load_pools(task) if pools is None else pools
+    if pools is None:
+        raise InvalidInputError(f"dataset task {task.name!r} was given no pools")
+    source_pool, target_pool = pools
     k = int(max(source_pool.labels.max(), target_pool.labels.max())) + 1
     return apply_shift_protocol(task.name, k, source_pool, target_pool, shift)
 
@@ -351,9 +352,9 @@ def _failed(cell: Cell, exc: Exception, seconds: float) -> RunRecord:
 
 
 def run_cell(cfg: GridConfig, cell: Cell) -> RunRecord:
-    """Execute one cell on its own; failures come back as records carrying
-    the error string instead of metrics."""
-    return run_coordinate(cfg, [cell])[0]
+    """Execute one cell on its own, as a grid run would; failures come back
+    as records carrying the error string instead of metrics."""
+    return next(_run_pools_group(cfg, [[cell]], 1))[0]
 
 
 def run_coordinate(cfg: GridConfig, cells: list[Cell],
@@ -361,9 +362,9 @@ def run_coordinate(cfg: GridConfig, cells: list[Cell],
     """Execute cells that share one (task, alpha, seed) coordinate, in their
     order: build the bundle once, train once per (method, resample), and
     apply each reweighting arm to that model. A dataset task resamples the
-    given pools, or reads them when none are given. A failure becomes an
-    error record for every cell it touches: the coordinate's at the bundle,
-    the group's at training, one cell's at its arm.
+    given pools. A failure becomes an error record for every cell it
+    touches: the coordinate's at the bundle, the group's at training, one
+    cell's at its arm.
 
     A cell's wall time is its even share of the bundle build, its even share
     of its group's training and predictions, and its own arm, so the cell
@@ -542,17 +543,21 @@ def _pools_key(cells: list[Cell]) -> str | None:
 def _run_pools_group(cfg: GridConfig, groups: list[list[Cell]], jobs: int):
     """Yield each coordinate's records in order, for coordinates that share
     their pools: a dataset task's, or none for a run of synthetic tasks. A
-    dataset task's pools are read here, once; after a failed read, None lets
-    each coordinate read them itself and record the error. With workers, the
-    pools go to each worker once, as it starts: a forked worker inherits
-    them, and any other is sent them pickled."""
+    dataset task's pools are read here, once; a failed read is the error of
+    every cell, each with an even share of the read's time, and no worker
+    starts. With workers, the pools go to each worker once, as it starts: a
+    forked worker inherits them, and any other is sent them pickled."""
     task = groups[0][0].task
     pools = None
     if task.data_dir is not None:
+        started = time.perf_counter()
         try:
             pools = load_pools(task, jobs)
-        except Exception:  # reported by each of the task's coordinates
-            pass
+        except Exception as exc:  # the grid must survive any single task
+            share = (time.perf_counter() - started) / sum(map(len, groups))
+            for cells in groups:
+                yield [_failed(cell, exc, share) for cell in cells]
+            return
     workers = min(jobs, len(groups))
     if workers == 1:
         for cells in groups:

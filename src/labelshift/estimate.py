@@ -413,37 +413,20 @@ def estimate_marginal(
 
     if estimator == "rlls":
         confusion = soft_confusion(preds_source_val, labels_source_val)
-        mu = mean_prediction(preds_target)
-        res = rlls_estimate(confusion, mu, p_s, lam, n_source_val=preds_source_val.n)
-        marginal = weights_to_marginal(res.weights, p_s)
-        return EstimatorOutput(
-            estimator="rlls",
-            marginal=marginal,
-            weights=res.weights,
-            converged=res.converged,
-            diagnostics=res.diagnostics,
-        )
-    if estimator == "mlls":
+        res = rlls_estimate(confusion, mean_prediction(preds_target), p_s, lam,
+                            n_source_val=preds_source_val.n)
+        weights, converged, diagnostics = res.weights, res.converged, res.diagnostics
+        marginal = weights_to_marginal(weights, p_s)
+    elif estimator == "mlls":
         res = mlls_estimate(preds_target, classifier_prior)
-        diagnostics: tuple[str, ...] = ()
+        marginal, converged, diagnostics = res.marginal, res.converged, ()
+        weights = _weights_from_marginal(marginal, p_s)
         if res.floored:
-            diagnostics = ("EM denominators hit the numerical floor",)
-        if not res.converged:
-            diagnostics = diagnostics + (
-                f"EM did not converge within {MLLS_MAX_ITERS} iterations",
-            )
-        return EstimatorOutput(
-            estimator="mlls",
-            marginal=res.marginal,
-            weights=_weights_from_marginal(res.marginal, p_s),
-            converged=res.converged,
-            diagnostics=diagnostics,
-        )
-    marginal = mean_prediction(preds_target)
-    return EstimatorOutput(
-        estimator="baseline",
-        marginal=marginal,
-        weights=_weights_from_marginal(marginal, p_s),
-        converged=True,
-        diagnostics=(),
-    )
+            diagnostics += ("EM denominators hit the numerical floor",)
+        if not converged:
+            diagnostics += (f"EM did not converge within {MLLS_MAX_ITERS} iterations",)
+    else:
+        marginal, converged, diagnostics = mean_prediction(preds_target), True, ()
+        weights = _weights_from_marginal(marginal, p_s)
+    return EstimatorOutput(estimator=estimator, marginal=marginal, weights=weights,
+                           converged=converged, diagnostics=diagnostics)

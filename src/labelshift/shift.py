@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -458,19 +459,21 @@ def _load_labeled_lines(path: Path) -> LabeledSet:
             if len(row) != d + 1:
                 raise ParseError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
             try:
-                features.append([float(v) for v in row[:-1]])
+                values = [float(v) for v in row[:-1]]
                 label = int(row[-1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}:{lineno}: non-finite feature")
             if not -2**63 <= label < 2**63:
                 raise ParseError(f"{path}:{lineno}: label out of range")
+            if label < 0:
+                raise ParseError(f"{path}:{lineno}: negative label")
+            features.append(values)
             labels.append(label)
     if not labels:
         raise ParseError(f"{path}: no data rows")
-    try:
-        return LabeledSet(_sealed(np.array(features)), _sealed(np.array(labels, dtype=np.int64)))
-    except (InvalidInputError, DimensionError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return LabeledSet(_sealed(np.array(features)), _sealed(np.array(labels, dtype=np.int64)))
 
 
 def save_bundle(bundle: TaskBundle, directory) -> None:

@@ -40,7 +40,13 @@ from labelshift.bench import (
     ingest_predictions,
     write_summary_csv,
 )
-from labelshift.core import LabelMarginal, PredictionMatrix, RngStream, project_simplex
+from labelshift.core import (
+    LabelMarginal,
+    PredictionMatrix,
+    RngStream,
+    _available_cpus,
+    project_simplex,
+)
 from labelshift.estimate import (
     estimate_marginal,
     mlls_estimate,
@@ -100,7 +106,7 @@ def _grid_config(output_dir: str) -> GridConfig:
 def shift_grid(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_grid")
     start = time.perf_counter()
-    records = run_grid(_grid_config(str(out)), jobs=1)
+    records = run_grid(_grid_config(str(out)), jobs=_available_cpus())
     wall = time.perf_counter() - start
     failed = [r for r in records if r.error is not None]
     assert not failed, f"grid cells failed: {[r.key() for r in failed]}"

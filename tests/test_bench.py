@@ -30,9 +30,11 @@ from labelshift.bench import (
     build_bundle,
     evaluate,
     ingest_predictions,
+    load_pools,
     plan_cells,
     read_records,
     relative_accuracy,
+    run_cell,
     run_grid,
     write_predictions,
     write_summary_csv,
@@ -238,9 +240,11 @@ class TestBuildBundle:
         save_labeled_csv(pool_dir / "target.csv", make_blobs(3, 3, 400, 3.0, seed=1))
         task = GridTask(name="disk", data_dir=str(pool_dir))
         cfg = tiny_grid(tmp_path, tasks=(task,))
-        bundle = build_bundle(cfg, task, 1.0, 0)
+        bundle = build_bundle(cfg, task, 1.0, 0, load_pools(task))
         assert bundle.k == 3 and bundle.d == 3
         assert bundle.source_train.n + bundle.source_val.n == 400
+        with pytest.raises(InvalidInputError, match="'disk'"):
+            build_bundle(cfg, task, 1.0, 0)
 
 
 class TestRunGrid:
@@ -461,6 +465,34 @@ class TestRunGrid:
         assert len(serial) == 15 * 2
         assert all(r.error is None for r in serial)
         assert [strip(r) for r in parallel] == [strip(r) for r in serial]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_bad_pool_is_read_once(self, tmp_path, monkeypatch, jobs):
+        pool_dir = tmp_path / "pools"
+        pool_dir.mkdir()
+        save_labeled_csv(pool_dir / "source.csv", make_blobs(3, 3, 300, 3.0, seed=0))
+        save_labeled_csv(pool_dir / "target.csv", make_blobs(3, 3, 300, 3.0, seed=1))
+        with open(pool_dir / "target.csv", "a") as fh:
+            fh.write("0.5,0.5\n")
+        log = tmp_path / "reads.log"
+        original = bench_module.load_labeled_csv
+
+        def counted(path):
+            # One O_APPEND write per read: a forked reader's line lands too.
+            with open(log, "a") as fh:
+                fh.write(Path(path).name + "\n")
+            return original(path)
+
+        monkeypatch.setattr(bench_module, "load_labeled_csv", counted)
+        cfg = tiny_grid(tmp_path, tasks=(GridTask(name="disk", data_dir=str(pool_dir)),),
+                        alphas=(None, 0.5), seeds=(0, 1))
+        records = run_grid(cfg, jobs=jobs)
+        assert sorted(log.read_text().split()) == ["source.csv", "target.csv"]
+        error = f"ParseError: {pool_dir / 'target.csv'}:302: expected 4 fields, got 2"
+        assert len(records) == 2 * 2 * 2
+        assert {r.error for r in records} == {error}
+        assert all(r.target_accuracy is None for r in records)
+        assert run_cell(cfg, plan_cells(cfg)[-1]).error == error
 
     def write_pool_tasks(self, tmp_path, count):
         tasks = []

@@ -329,6 +329,17 @@ class TestLabeledTraps:
         got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
         assert got == ("ParseError", f"{path}:3: label out of range")
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,nan,1", "non-finite feature"),
+        ("-inf,0.5,1", "non-finite feature"),
+        ("1e999,0.5,1", "non-finite feature"),
+        ("0.5,0.5,-1", "negative label"),
+    ])
+    def test_bad_value_names_its_line(self, tmp_path, row, message):
+        path = pool(tmp_path, f"f0,f1,y\n0.5,1.5,1\n0.25,2.5,0\n{row}\n0.5,0.5,nan\n")
+        got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
+        assert got == ("ParseError", f"{path}:4: {message}")
+
     def test_valid_pool_takes_the_one_pass_reader(self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("line parser called")
