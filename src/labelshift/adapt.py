@@ -351,7 +351,10 @@ def class_balanced_indices(labels, size: int, stream: RngStream) -> np.ndarray:
         raise EmptyInputError("cannot balance an empty label vector")
     if size < 1:
         raise InvalidInputError(f"size must be positive, got {size}")
-    classes = np.unique(labels)
+    # numpy's unique classes by sort and compare, since the first call of its
+    # unique function in a process imports numpy.ma (some 8 ms in a worker).
+    ordered = np.sort(labels, axis=None)
+    classes = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     shares = _largest_remainder(size, np.full(classes.size, 1.0 / classes.size))
     gen = stream.generator()
     picks = []

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
+from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from itertools import groupby
 from pathlib import Path
@@ -44,6 +46,7 @@ from labelshift.core import (
     PredictionMatrix,
     RngStream,
     _field_types,
+    _fork_map,
     _fork_pays,
     _read_pair,
     _read_fields,
@@ -520,20 +523,6 @@ def _record_order(record: RunRecord):
     return (task_id, _alpha_order(alpha), *rest)
 
 
-# A worker's (config, pools), set once when the worker starts.
-_worker_state = None
-
-
-def _start_worker(cfg: GridConfig, pools) -> None:
-    global _worker_state
-    _worker_state = cfg, pools
-
-
-def _run_in_worker(cells: list[Cell]) -> list[RunRecord]:
-    cfg, pools = _worker_state
-    return run_coordinate(cfg, cells, pools)
-
-
 def _pools_key(cells: list[Cell]) -> str | None:
     """The dataset task whose pools a coordinate uses, or None if synthetic."""
     task = cells[0].task
@@ -545,8 +534,8 @@ def _run_pools_group(cfg: GridConfig, groups: list[list[Cell]], jobs: int):
     their pools: a dataset task's, or none for a run of synthetic tasks. A
     dataset task's pools are read here, once; a failed read is the error of
     every cell, each with an even share of the read's time, and no worker
-    starts. With workers, the pools go to each worker once, as it starts: a
-    forked worker inherits them, and any other is sent them pickled."""
+    starts. Workers are forked once the pools are read, so each inherits
+    them; without os.fork the coordinates run here."""
     task = groups[0][0].task
     pools = None
     if task.data_dir is not None:
@@ -559,16 +548,11 @@ def _run_pools_group(cfg: GridConfig, groups: list[list[Cell]], jobs: int):
                 yield [_failed(cell, exc, share) for cell in cells]
             return
     workers = min(jobs, len(groups))
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         for cells in groups:
             yield run_coordinate(cfg, cells, pools)
         return
-    # Imported here: concurrent.futures.process loads multiprocessing (11-16
-    # ms and 1 MB of peak memory), which a serial run never needs.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, initializer=_start_worker,
-                             initargs=(cfg, pools)) as executor:
-        yield from executor.map(_run_in_worker, groups)
+    yield from _fork_map(lambda cells: run_coordinate(cfg, cells, pools), groups, workers)
 
 
 def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRecord]:
@@ -576,9 +560,10 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     output_dir/results.jsonl through a single writer, coordinate by
     coordinate in plan order. With jobs > 1, up to jobs worker processes run
     coordinates: one set of workers per dataset task, and one per run of
-    consecutive synthetic tasks. The parent reads a dataset task's pools
-    when its workers start, and holds one task's pools at a time. The file
-    order is the same as a serial run's.
+    consecutive synthetic tasks, forked once the parent has read the task's
+    pools, so the parent holds one task's pools at a time. Without os.fork,
+    every coordinate runs in this process. The file order is the same as a
+    serial run's.
 
     With resume=True, cells that already have a successful record are
     skipped and failed cells run again; a torn final line is cut off before
@@ -589,9 +574,8 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     changes; a resume whose config
     differs from it in anything but the axes (alphas, seeds, methods,
     corrections, estimators), or in a task it keeps, is an error naming the
-    first such field. A worker process that dies
-    raises concurrent.futures.process.BrokenProcessPool; the records already
-    written stay, and resume completes the grid.
+    first such field. A worker process that dies raises WorkerDiedError;
+    the records already written stay, and resume completes the grid.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
@@ -643,11 +627,13 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     with open(results_path, "a") as fh:
         # Plan order keeps a task's coordinates together.
         for _, groups in groupby(coordinates.values(), key=_pools_key):
-            for batch in _run_pools_group(cfg, list(groups), jobs):
-                for record in batch:
-                    fh.write(json.dumps(record.to_json_dict()) + "\n")
-                    fh.flush()
-                records.extend(batch)
+            # Closed however the loop ends, so no worker outlives it.
+            with closing(_run_pools_group(cfg, list(groups), jobs)) as batches:
+                for batch in batches:
+                    for record in batch:
+                        fh.write(json.dumps(record.to_json_dict()) + "\n")
+                        fh.flush()
+                    records.extend(batch)
     return sorted(records, key=_record_order)
 
 
@@ -690,17 +676,50 @@ def aggregate(records) -> list[Summary]:
         rel = np.sort(np.asarray(rel))
         l1 = np.sort(np.asarray([r.marginal_l1_error for r in members
                                  if r.marginal_l1_error is not None]))
+        ordered = rel.tolist()
         summaries.append(Summary(
             *group,
             n=len(members),
             mean_rel_acc=float(rel.mean()),
-            median_rel_acc=float(np.median(rel)),
-            q25=float(np.percentile(rel, 25)),
-            q75=float(np.percentile(rel, 75)),
+            median_rel_acc=_median(ordered),
+            q25=_percentile(ordered, 0.25),
+            q75=_percentile(ordered, 0.75),
             mean_l1=float(l1.mean()) if l1.size else None,
-            median_l1=float(np.median(l1)) if l1.size else None,
+            median_l1=_median(l1.tolist()) if l1.size else None,
         ))
     return summaries
+
+
+# numpy's median and percentile functions give the same values, but the first
+# call of either in a process imports numpy.ma (about 6 ms), and each call
+# costs some 20 us.
+
+
+def _median(ordered: list[float]) -> float:
+    """numpy's median of sorted values, bit for bit: the mean of the middle value
+    or two, summed from 0.0 as np.mean sums (so -0.0 becomes 0.0); nan where
+    there is a nan (np.sort puts it last)."""
+    if math.isnan(ordered[-1]):
+        return ordered[-1]
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + ordered[half]
+    return (0.0 + ordered[half - 1] + ordered[half]) / 2
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """numpy's percentile 100 * q of sorted values, bit for bit: its default
+    linear interpolation between the values around index (n - 1) * q, taken
+    from the upper value when the fraction t is 0.5 or more; nan where there
+    is a nan."""
+    if math.isnan(ordered[-1]):
+        return ordered[-1]
+    index = (len(ordered) - 1) * q
+    # From index n - 1 on, numpy takes the last value twice, as index -1.
+    low = math.floor(index) if index < len(ordered) - 1 else -1
+    a, b = ordered[low], ordered[low + 1 if low >= 0 else -1]
+    t, d = index - low, b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 def write_summary_csv(path, summaries) -> None:

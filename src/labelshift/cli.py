@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from labelshift.adapt import (
@@ -52,6 +51,7 @@ from labelshift.core import (
     LabelShiftError,
     PairingError,
     ParseError,
+    WorkerDiedError,
     _available_cpus,
     _cast,
     _check_keys,
@@ -151,7 +151,7 @@ def cmd_run(args) -> int:
         return 0
     try:
         records = run_grid(cfg, jobs=args.jobs, resume=args.resume)
-    except BrokenExecutor as exc:
+    except WorkerDiedError as exc:
         raise LabelShiftError(f"{exc} The records written so far are kept; rerun with "
                               "--resume to finish the grid.") from None
     failed = [r for r in records if r.error is not None]

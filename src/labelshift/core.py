@@ -62,6 +62,10 @@ class DivergedError(LabelShiftError):
     """An iterative routine produced non-finite values."""
 
 
+class WorkerDiedError(LabelShiftError):
+    """A worker process ended without sending back the result of its work."""
+
+
 def _as_float_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -352,7 +356,11 @@ def l1_distance(p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Reading several input files at once.
+# Work in forked children: reading two input files at once, and grid workers.
+# os.fork, not the standard library's process pools: importing them costs a
+# one-shot command about 6 ms, and a spawned child would import numpy again.
+# A child sends its results with _send and leaves by os._exit, with status 0
+# only once all it sends is written.
 
 
 def _available_cpus() -> int:
@@ -379,21 +387,45 @@ def _fork_pays(processes: int, *paths) -> bool:
         return False
 
 
+def _send(pipe, message) -> None:
+    """Write message to a binary pipe file: its length in 8 bytes, then its
+    pickle. Protocol 5 sends arrays bit for bit, and read-only when they are
+    read-only (an older protocol makes them writeable)."""
+    data = pickle.dumps(message, protocol=5)
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe):
+    """The next message _send wrote to a pipe file, or None where the pipe
+    ends before a whole message."""
+    header = pipe.read(8)
+    if len(header) < 8:
+        return None
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size)
+    return pickle.loads(data) if len(data) == size else None
+
+
+def _outcome(function, item) -> tuple:
+    """(True, function(item)), or (False, the exception it raised)."""
+    try:
+        return True, function(item)
+    except Exception as exc:
+        return False, exc
+
+
 def _read_pair(reader, first, second, concurrent: bool) -> tuple:
     """(reader(first), reader(second)); with concurrent, second is read in a
     forked child while this process reads first.
 
-    The child pipes back its result, or the exception it raised, by pickle
-    protocol 5, so arrays arrive bit for bit, and read-only when they were
-    sent read-only (an older protocol makes them writeable). The
-    exception of first is raised before that of second, with its own class
-    and message, as a serial read would raise it; if first raises, the child
-    is killed. The child is always waited for, and if it exits without
+    The child sends back its result, or the exception it raised, by _send.
+    The exception of first is raised before that of second, with its own
+    class and message, as a serial read would raise it; if first raises, the
+    child is killed. The child is always waited for, and if it exits without
     sending a whole result, second is read here. Without concurrent, or
     without os.fork, the two are read in turn.
-
-    os.fork, not multiprocessing: importing multiprocessing costs a one-shot
-    command about 6 ms, and a spawned child would import numpy again.
     """
     if not (concurrent and hasattr(os, "fork")):
         return reader(first), reader(second)
@@ -411,37 +443,123 @@ def _read_pair(reader, first, second, concurrent: bool) -> tuple:
     try:
         with open(receiver, "rb") as pipe:
             value = reader(first)
-            sent = pipe.read()
+            sent = _receive(pipe)
     finally:
         if sent is None:
             import signal  # here: importing it costs a one-shot command 0.4 ms
             os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
-    if status != 0 or not sent:
+    if status != 0 or sent is None:
         return value, reader(second)
-    ok, result = pickle.loads(sent)
+    ok, result = sent
     if not ok:
         raise result
     return value, result
 
 
 def _send_read(reader, item, receiver: int, sender: int) -> None:
-    """A forked child's part of _read_pair: write reader(item), or the
-    exception it raised, to the pipe's sender end, and exit, with status 0
-    only once it is all written. An exception the parent could not rebuild
-    is not sent, so the parent reads item itself and meets it there."""
+    """A forked child's part of _read_pair: send the outcome of reader(item)
+    and exit. An exception the parent could not rebuild is not sent, so the
+    parent reads item itself and meets it there."""
     status = 1
     try:
         os.close(receiver)
-        try:
-            result = True, reader(item)
-        except Exception as exc:
-            result = False, exc
-        message = pickle.dumps(result, protocol=5)
+        result = _outcome(reader, item)
         if not result[0]:
-            pickle.loads(message)
+            pickle.loads(pickle.dumps(result, protocol=5))
         with open(sender, "wb") as pipe:
-            pipe.write(message)
+            _send(pipe, result)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_map(function, items: list, workers: int):
+    """Yield function(item) for each of items, in their order, computed in
+    `workers` (at most len(items)) forked children, which inherit function
+    and items.
+
+    Each child is handed the index of the next item as soon as it sends back
+    a result, so a slow item holds up only its own child; a result that comes
+    early is held here until its turn. An exception function raises in a
+    child is raised here, in its item's turn. A child that ends without
+    sending a whole result raises WorkerDiedError. However this ends (the
+    last result, an error, or the generator closed), every child is killed
+    and waited for.
+    """
+    import select
+    import signal
+
+    poller = select.poll()
+    children = {}  # a child's result fd -> (pid, its task fd, its result pipe)
+    working, done = {}, {}  # result fd -> index of the child's item; index -> outcome
+    todo = iter(range(len(items)))
+
+    def hand_next(fd: int) -> None:
+        index = next(todo, None)
+        if index is None:
+            poller.unregister(fd)  # the child has nothing left to send
+            return
+        working[fd] = index
+        try:
+            os.write(children[fd][1], index.to_bytes(8, "little"))
+        except BrokenPipeError:
+            pass  # the child is dead, which its result pipe shows
+
+    try:
+        for _ in range(workers):
+            task_out, task_in = os.pipe()
+            result_out, result_in = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (task_out, task_in, result_out, result_in):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                inherited = [task_in, result_out]
+                for _, task, pipe in children.values():
+                    inherited += [task, pipe.fileno()]
+                _serve(function, items, task_out, result_in, inherited)
+            os.close(task_out)
+            os.close(result_in)
+            children[result_out] = pid, task_in, open(result_out, "rb")
+            poller.register(result_out, select.POLLIN)
+            hand_next(result_out)
+        for turn in range(len(items)):
+            while turn not in done:
+                for fd, _ in poller.poll():
+                    outcome = _receive(children[fd][2])
+                    if outcome is None:
+                        raise WorkerDiedError(
+                            f"worker process {children[fd][0]} ended without sending its results"
+                        )
+                    done[working.pop(fd)] = outcome
+                    hand_next(fd)
+            ok, value = done.pop(turn)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, _, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid, task, pipe in children.values():
+            os.waitpid(pid, 0)
+            os.close(task)
+            pipe.close()
+
+
+def _serve(function, items: list, tasks: int, results: int, inherited: list) -> None:
+    """A forked child's part of _fork_map: close the parent's pipe ends it
+    inherited, then send the outcome of function(items[i]) for each index i
+    received, until the task pipe closes, and exit."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
+            while len(index := inbox.read(8)) == 8:
+                _send(outbox, _outcome(function, items[int.from_bytes(index, "little")]))
         status = 0
     finally:
         os._exit(status)

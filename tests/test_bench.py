@@ -1,18 +1,20 @@
 """Grid runner, metrics, aggregation, and the prediction-dump format."""
 
 import json
-import multiprocessing
+import math
 import os
-import subprocess
+import signal
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import labelshift.adapt as adapt_module
 import labelshift.bench as bench_module
@@ -49,6 +51,7 @@ from labelshift.core import (
     PairingError,
     ParseError,
     PredictionMatrix,
+    WorkerDiedError,
 )
 from labelshift.shift import SynthTaskSpec, save_labeled_csv
 from tests.test_adapt import make_blobs
@@ -77,6 +80,12 @@ def tiny_grid(tmp_path, **overrides):
     )
     defaults.update(overrides)
     return GridConfig(**defaults)
+
+
+def without_wall_time(line):
+    row = json.loads(line)
+    row.pop("wall_time_seconds")
+    return row
 
 
 def record(method="pseudolabel", corrections="rs+rw", acc=0.8, task="t", alpha=0.5,
@@ -529,40 +538,26 @@ class TestRunGrid:
             assert written == [f"disk{i}" for i in range(t) for _ in range(per_task)]
             assert alive == [False] * t
 
-    def test_spawned_workers_receive_the_pools(self, tmp_path):
+    def test_workers_inherit_the_pools(self, tmp_path, monkeypatch):
         # The parent reads the pools from a directory the task does not name,
-        # so a worker that did not receive them would fail every cell.
-        script = """
-import json, multiprocessing, sys
-from labelshift import bench
-from labelshift.adapt import TrainConfig
-
-multiprocessing.set_start_method("spawn")
-pools_dir, out = sys.argv[1:3]
-original = bench.load_pools
-bench.load_pools = lambda task, jobs=1: original(bench.GridTask(task.name, data_dir=pools_dir),
-                                                 jobs)
-rows = []
-for jobs in (1, 2):
-    cfg = bench.GridConfig(tasks=(bench.GridTask("disk", data_dir=out + "/missing"),),
-                           alphas=(None, 0.5), seeds=(0, 1), methods=("source_only",),
-                           seed=11, output_dir=f"{out}/jobs{jobs}",
-                           train=TrainConfig(epochs=2, batch_size=64))
-    rows.append([r.to_json_dict() for r in bench.run_grid(cfg, jobs=jobs)])
-    for row in rows[-1]:
-        row.pop("wall_time_seconds")
-print(json.dumps(rows))
-"""
+        # so a worker that did not inherit them would fail every cell.
         (task,) = self.write_pool_tasks(tmp_path, 1)
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run([sys.executable, "-c", script, task.data_dir, str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        serial, spawned = json.loads(proc.stdout)
+        original = bench_module.load_pools
+        monkeypatch.setattr(bench_module, "load_pools", lambda t, jobs=1: original(task, jobs))
+
+        def lines(name, jobs):
+            missing = GridTask("disk0", data_dir=str(tmp_path / "missing"))
+            run_grid(tiny_grid(tmp_path, tasks=(missing,), seeds=(0, 1),
+                               output_dir=str(tmp_path / name)), jobs=jobs)
+            return [without_wall_time(line)
+                    for line in (tmp_path / name / RESULTS_FILENAME).read_text().splitlines()]
+
+        serial = lines("serial", 1)
         assert len(serial) == 2 * 2 * 2
         assert all("error" not in row for row in serial)
-        assert spawned == serial
+        assert lines("forked", 2) == serial
+        monkeypatch.delattr(os, "fork")
+        assert lines("unforked", 2) == serial
 
     def test_iw_erm_epoch_zero_weights_do_not_sink_the_model(self, tmp_path):
         # A coordinate where unregularized RLLS on the untrained mlp returned
@@ -601,8 +596,63 @@ print(json.dumps(rows))
         assert len(serial) == 10 * 2
         assert lines(2) == serial
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="only forked workers see the monkeypatched build_bundle")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="grid workers fork")
+    def test_coordinates_finishing_out_of_order_are_written_in_plan_order(self, tmp_path,
+                                                                          monkeypatch):
+        grid = dict(alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1))
+        serial = tiny_grid(tmp_path, output_dir=str(tmp_path / "serial"), **grid)
+        run_grid(serial)
+        original = bench_module.build_bundle
+        log = tmp_path / "built.log"
+
+        def slow_first(cfg, task, alpha, seed, pools=None):
+            if (alpha, seed) == (None, 0):
+                time.sleep(1.0)
+            with open(log, "a") as fh:
+                fh.write(f"{alpha} {seed}\n")
+            return original(cfg, task, alpha, seed, pools)
+
+        monkeypatch.setattr(bench_module, "build_bundle", slow_first)
+        run_grid(tiny_grid(tmp_path, output_dir=str(tmp_path / "parallel"), **grid), jobs=2)
+        built = log.read_text().splitlines()
+        # The other worker built every other coordinate while the first slept.
+        assert built[-1] == "None 0" and len(built) == 10
+
+        def lines(name):
+            return [without_wall_time(line)
+                    for line in (tmp_path / name / RESULTS_FILENAME).read_text().splitlines()]
+
+        assert lines("parallel") == lines("serial")
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="grid workers fork")
+    def test_killed_worker_raises(self, tmp_path, monkeypatch):
+        original = bench_module.build_bundle
+
+        def killed(cfg, task, alpha, seed, pools=None):
+            if (alpha, seed) == (1.0, 0):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(cfg, task, alpha, seed, pools)
+
+        monkeypatch.setattr(bench_module, "build_bundle", killed)
+        cfg = tiny_grid(tmp_path, alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1))
+        raised = []
+
+        def run():
+            try:
+                run_grid(cfg, jobs=2)
+            except BaseException as exc:  # handed to the test thread
+                raised.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert len(raised) == 1 and isinstance(raised[0], WorkerDiedError)
+        assert "ended without sending its results" in str(raised[0])
+        written = read_records(tmp_path / "out" / RESULTS_FILENAME)
+        assert 0 < len(written) < 10 * 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="grid workers fork")
     def test_dead_worker_raises_and_resume_completes(self, tmp_path, monkeypatch):
         grid = dict(alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1))
         serial = run_grid(tiny_grid(tmp_path, output_dir=str(tmp_path / "serial"), **grid))
@@ -627,7 +677,7 @@ print(json.dumps(rows))
         worker.start()
         worker.join(timeout=120)
         assert not worker.is_alive()
-        assert len(raised) == 1 and isinstance(raised[0], BrokenProcessPool)
+        assert len(raised) == 1 and isinstance(raised[0], WorkerDiedError)
         written = read_records(tmp_path / "parallel" / RESULTS_FILENAME)
         assert len(written) < len(serial)
         monkeypatch.undo()
@@ -714,6 +764,22 @@ class TestRecordIO:
 
 
 class TestAggregate:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, width=64),
+                              st.integers(-8, 8).map(lambda v: v / 8)),
+                    min_size=1, max_size=60))
+    def test_statistics_match_numpy_bit_for_bit(self, values):
+        # np.sort and numpy's own partition may order -0.0 and 0.0 apart.
+        assume(len({math.copysign(1.0, v) for v in values if v == 0.0}) < 2)
+        ordered = np.sort(np.asarray(values, dtype=np.float64))
+        for data in (ordered, np.sort(np.append(ordered, np.nan))):
+            got = [bench_module._median(data.tolist()),
+                   bench_module._percentile(data.tolist(), 0.25),
+                   bench_module._percentile(data.tolist(), 0.75)]
+            with np.errstate(all="ignore"):  # numpy warns on inf - inf and on overflow
+                want = [np.median(data), np.percentile(data, 25), np.percentile(data, 75)]
+            assert [repr(v) for v in got] == [repr(float(v)) for v in want]
+
     def test_two_point_statistics(self):
         records = [
             baseline(acc=0.70, seed=0), baseline(acc=0.70, seed=1),

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: config parsing, exit codes, artifacts."""
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -299,8 +298,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "jobs" in err
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="only forked workers see the monkeypatched build_bundle")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="grid workers fork")
     def test_dead_worker_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
         original = bench_module.build_bundle
 
@@ -314,7 +312,52 @@ class TestRun:
         assert main(["run", "--config", str(config), "--jobs", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "--resume" in err
+        assert "ended without sending its results" in err and "--resume" in err
+
+    def test_no_process_imports_numpy_ma_or_a_process_pool(self, tmp_path):
+        # Checked in a fresh interpreter after an rs grid at --jobs 1 and 2,
+        # and in every grid worker after its coordinate.
+        script = """
+import json, os, sys
+from labelshift import bench
+from labelshift.cli import main
+
+UNWANTED = ("numpy.ma", "concurrent.futures", "multiprocessing")
+log = sys.argv[1]
+original = bench.run_coordinate
+
+def checked(cfg, cells, pools=None):
+    records = original(cfg, cells, pools)
+    with open(log, "a") as fh:
+        fh.write(json.dumps([os.getpid(), [m for m in UNWANTED if m in sys.modules]]) + "\\n")
+    return records
+
+bench.run_coordinate = checked
+codes = [main(argv.split()) for argv in sys.argv[2:]]
+print(json.dumps([codes, os.getpid(), [m for m in UNWANTED if m in sys.modules]]))
+"""
+        runs = []
+        for jobs in (1, 2):
+            (tmp_path / f"jobs{jobs}").mkdir()
+            config = write_config(tmp_path / f"jobs{jobs}", corrections=["none", "rs"],
+                                  output_dir=str(tmp_path / f"jobs{jobs}" / "out"))
+            runs.append(f"run --config {config} --jobs {jobs}")
+        source = one_hot_dump(tmp_path, "source.csv", [10, 10])
+        target = one_hot_dump(tmp_path, "target.csv", [3, 7], labels=False)
+        runs.append(f"estimate --source {source} --target {target}")
+        log = tmp_path / "modules.log"
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, str(log), *runs], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, parent, unwanted = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0] and unwanted == []
+        coordinates = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(coordinates) == 2 * 2
+        assert all(found == [] for _, found in coordinates)
+        if hasattr(os, "fork"):
+            assert {pid for pid, _ in coordinates} - {parent}
 
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         assert main(["run", "--confg", "x"]) == 1

@@ -1,4 +1,5 @@
-"""Reading a command's two input files at once.
+"""Work in forked children: reading a command's two input files at once,
+and grid workers.
 
 `labelshift estimate` reads its two dumps and `labelshift run` a dataset
 task's two pools through core._read_pair, which reads the second file in a
@@ -6,6 +7,8 @@ forked child while the process reads the first, once the files are large
 enough for a fork to pay (core._fork_pays). Such a read must give what a
 serial read gives: the same values, in read-only arrays, and the same first
 error. A serial read (one CPU, small files, or `--jobs 1`) must not fork.
+`labelshift run` computes coordinates in children forked by core._fork_map,
+which must give each result in turn and leave no child behind.
 """
 
 import contextlib
@@ -21,7 +24,7 @@ import labelshift.cli as cli_module
 import labelshift.core as core_module
 from labelshift.bench import GridTask, load_pools
 from labelshift.cli import main
-from labelshift.core import LabeledSet, ParseError, _fork_pays, _read_pair
+from labelshift.core import LabeledSet, ParseError, _fork_map, _fork_pays, _read_pair
 from labelshift.shift import save_labeled_csv
 from tests.test_adapt import make_blobs
 from tests.test_golden import ALL_ESTIMATORS, write_dumps
@@ -167,6 +170,39 @@ class TestReadPair:
         assert not _fork_pays(1, small, large)
         assert not _fork_pays(2, small, small)
         assert not _fork_pays(2, large, tmp_path / "missing")
+
+
+class TestForkMap:
+    def test_a_free_worker_takes_the_next_item(self, forks):
+        def work(item):
+            time.sleep(item)
+            return item, os.getpid()
+
+        got = list(_fork_map(work, [1.0, 0, 0, 0, 0, 0], 2))
+        assert [item for item, _ in got] == [1.0, 0, 0, 0, 0, 0]
+        assert len(forks) == 2
+        # While the first item sleeps, its worker takes no other.
+        assert {pid for _, pid in got[1:]} == {forks[1]} and got[0][1] == forks[0]
+
+    def test_an_error_is_raised_in_its_turn(self, forks):
+        got = []
+        with pytest.raises(ZeroDivisionError):
+            for value in _fork_map(lambda item: 1 / item, [1, 2, 0, 4], 2):
+                got.append(value)
+        assert got == [1.0, 0.5]
+
+    def test_closing_kills_the_workers(self, forks):
+        def work(item):
+            if item:
+                time.sleep(60)
+            return item
+
+        started = time.perf_counter()
+        results = _fork_map(work, [0, 1, 2, 3], 3)
+        assert next(results) == 0
+        results.close()
+        assert time.perf_counter() - started < 30
+        assert len(forks) == 3
 
 
 def run_cli(argv, cpus, monkeypatch):
