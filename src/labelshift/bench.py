@@ -186,6 +186,10 @@ class Cell:
         return _cell_key(**self.record_fields())
 
 
+# The range of each metric a record may carry, from 0 up to this bound.
+_METRIC_BOUNDS = {"target_accuracy": 1.0, "source_val_accuracy": 1.0, "marginal_l1_error": 2.0}
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One results line. It is written as "v" and then the fields in order:
@@ -221,11 +225,25 @@ class RunRecord:
 
     @classmethod
     def from_json_dict(cls, payload) -> "RunRecord":
+        """The record a results line holds. Beyond the types, each metric
+        must lie in its _METRIC_BOUNDS range, and each marginal entry must
+        be finite and non-negative; a value that breaks either is a
+        ParseError naming its key."""
         if isinstance(payload, dict) and payload.get("v") != 1:
             raise ParseError(f"unsupported record version {payload.get('v')!r}")
         values = _read_fields(payload, {"v": int, **_field_types(cls)}, _required_fields(cls),
                               "record")
         del values["v"]
+        for key, bound in _METRIC_BOUNDS.items():
+            value = values.get(key)
+            if value is not None and not 0.0 <= value <= bound:
+                raise ParseError(f"record.{key}: expected a number in [0, {bound:g}], "
+                                 f"got {value!r}")
+        for key in ("true_marginal", "estimated_marginal"):
+            for i, value in enumerate(values.get(key) or ()):
+                if not 0.0 <= value < math.inf:
+                    raise ParseError(f"record.{key}[{i}]: expected a finite, non-negative "
+                                     f"number, got {value!r}")
         return cls(**values)
 
 
@@ -637,13 +655,33 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     return sorted(records, key=_record_order)
 
 
+def failed_baselines(records) -> list[tuple]:
+    """The (task, alpha, seed) coordinates that aggregate leaves out, in
+    record order: each holds a successful record, but its uncorrected
+    source_only record is an error record, with no successful one beside it."""
+    succeeded, paired, failed = set(), set(), {}
+    for r in records:
+        key = (r.task_id, r.alpha, r.seed)
+        baseline = r.method == "source_only" and r.corrections == "none"
+        if r.error is None:
+            succeeded.add(key)
+            if baseline:
+                paired.add(key)
+        elif baseline:
+            failed[key] = None
+    return [key for key in failed if key in succeeded and key not in paired]
+
+
 def aggregate(records) -> list[Summary]:
     """Group successful records by (alpha, method, corrections, estimator)
     and summarize relative accuracy and marginal l1 error against the
     uncorrected source_only record of the same (task, alpha, seed). Quartiles
     use linear interpolation between order statistics. Records that failed
-    are skipped; a missing baseline is an error."""
-    records = [r for r in records if r.error is None]
+    are skipped, and so is every record of a coordinate whose baseline
+    failed (failed_baselines); a baseline that was never run is an error."""
+    left_out = set(failed_baselines(records))
+    records = [r for r in records
+               if r.error is None and (r.task_id, r.alpha, r.seed) not in left_out]
     by_key = {}
     for b in records:
         if b.method != "source_only" or b.corrections != "none":

@@ -37,6 +37,7 @@ from labelshift.bench import (
     SUMMARY_FILENAME,
     aggregate,
     evaluate,
+    failed_baselines,
     ingest_predictions,
     plan_cells,
     read_records,
@@ -141,10 +142,19 @@ def load_grid_config(path) -> GridConfig:
     return GridConfig(**kwargs)
 
 
+def _summarize(records, path) -> None:
+    """Write the summary of records to path, after one stderr line for each
+    coordinate the summary leaves out because its baseline failed."""
+    for task_id, alpha, seed in failed_baselines(records):
+        print(f"summary leaves out task {task_id!r}, alpha {alpha}, seed {seed}: its "
+              "uncorrected source_only cell failed", file=sys.stderr)
+    write_summary_csv(path, aggregate(records))
+
+
 def cmd_run(args) -> int:
     cfg = load_grid_config(args.config)
-    cells = plan_cells(cfg)
     if args.dry_run:
+        cells = plan_cells(cfg)
         for cell in cells:
             print(" ".join(str(part) for part in cell.key()))
         print(f"{len(cells)} cells")
@@ -157,7 +167,7 @@ def cmd_run(args) -> int:
     failed = [r for r in records if r.error is not None]
     out_dir = Path(cfg.output_dir)
     try:
-        write_summary_csv(out_dir / SUMMARY_FILENAME, aggregate(records))
+        _summarize(records, out_dir / SUMMARY_FILENAME)
         print(f"wrote {out_dir / RESULTS_FILENAME} and {out_dir / SUMMARY_FILENAME}")
     except PairingError as exc:
         print(f"summary skipped: {exc}", file=sys.stderr)
@@ -248,8 +258,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = read_records(args.results)
-    write_summary_csv(args.out, aggregate(records))
+    _summarize(read_records(args.results), args.out)
     print(f"wrote {args.out}")
     return 0
 

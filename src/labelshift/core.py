@@ -17,6 +17,7 @@ import os
 import pickle
 import types
 import typing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,11 +357,12 @@ def l1_distance(p, q) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Work in forked children: reading two input files at once, and grid workers.
-# os.fork, not the standard library's process pools: importing them costs a
-# one-shot command about 6 ms, and a spawned child would import numpy again.
-# A child sends its results with _send and leaves by os._exit, with status 0
-# only once all it sends is written.
+# Work in forked children. _fork_map is the one way the package starts a child
+# process: for grid workers, and for the child that reads the second of two
+# input files (_read_pair). It uses os.fork, not the standard library's
+# process pools: importing them costs a one-shot command about 6 ms, and a
+# spawned child would import numpy again. A child sends each outcome with
+# _send and leaves by os._exit, with status 0 only once it is told to stop.
 
 
 def _available_cpus() -> int:
@@ -418,93 +420,61 @@ def _outcome(function, item) -> tuple:
 
 def _read_pair(reader, first, second, concurrent: bool) -> tuple:
     """(reader(first), reader(second)); with concurrent, second is read in a
-    forked child while this process reads first.
+    child forked by _fork_map while this process reads first.
 
-    The child sends back its result, or the exception it raised, by _send.
     The exception of first is raised before that of second, with its own
     class and message, as a serial read would raise it; if first raises, the
-    child is killed. The child is always waited for, and if it exits without
-    sending a whole result, second is read here. Without concurrent, or
-    without os.fork, the two are read in turn.
+    child is killed. Where the fork fails, or the child ends without sending
+    a whole result, second is read here. Without concurrent, or without
+    os.fork, the two are read in turn.
     """
     if not (concurrent and hasattr(os, "fork")):
         return reader(first), reader(second)
-    receiver, sender = os.pipe()
     try:
-        pid = os.fork()
+        results = _fork_map(reader, [second], 1)
     except OSError:
-        os.close(receiver)
-        os.close(sender)
         return reader(first), reader(second)
-    if pid == 0:
-        _send_read(reader, second, receiver, sender)
-    os.close(sender)
-    sent = None
-    try:
-        with open(receiver, "rb") as pipe:
-            value = reader(first)
-            sent = _receive(pipe)
-    finally:
-        if sent is None:
-            import signal  # here: importing it costs a one-shot command 0.4 ms
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-    if status != 0 or sent is None:
-        return value, reader(second)
-    ok, result = sent
-    if not ok:
-        raise result
-    return value, result
-
-
-def _send_read(reader, item, receiver: int, sender: int) -> None:
-    """A forked child's part of _read_pair: send the outcome of reader(item)
-    and exit. An exception the parent could not rebuild is not sent, so the
-    parent reads item itself and meets it there."""
-    status = 1
-    try:
-        os.close(receiver)
-        result = _outcome(reader, item)
-        if not result[0]:
-            pickle.loads(pickle.dumps(result, protocol=5))
-        with open(sender, "wb") as pipe:
-            _send(pipe, result)
-        status = 0
-    finally:
-        os._exit(status)
+    with closing(results):
+        value = reader(first)
+        with suppress(WorkerDiedError):
+            return value, next(results)
+    return value, reader(second)
 
 
 def _fork_map(function, items: list, workers: int):
-    """Yield function(item) for each of items, in their order, computed in
-    `workers` (at most len(items)) forked children, which inherit function
-    and items.
+    """An iterator of function(item) for each of items, in their order,
+    computed in `workers` (at most len(items)) children forked by this call,
+    which inherit function and items; a failed fork raises OSError here.
 
     Each child is handed the index of the next item as soon as it sends back
-    a result, so a slow item holds up only its own child; a result that comes
-    early is held here until its turn. An exception function raises in a
-    child is raised here, in its item's turn. A child that ends without
-    sending a whole result raises WorkerDiedError. However this ends (the
-    last result, an error, or the generator closed), every child is killed
-    and waited for.
+    a result, so a slow item holds up only its own child, and it exits once
+    no item is left; a result that comes early is held until its turn. An
+    exception function raises in a child is raised in its item's turn. A
+    child that ends without sending a whole result, or that met an exception
+    pickle cannot rebuild, raises WorkerDiedError. However the iterator ends
+    (the last result, an error, or closed), a child still at work is killed,
+    and every child is waited for.
     """
-    import select
-    import signal
+    results = _forked_results(function, items, workers)
+    next(results)  # fork; from here on, closing results waits for the children
+    return results
 
-    poller = select.poll()
+
+def _forked_results(function, items: list, workers: int):
+    """_fork_map's generator: it forks, yields None, then yields each result."""
     children = {}  # a child's result fd -> (pid, its task fd, its result pipe)
     working, done = {}, {}  # result fd -> index of the child's item; index -> outcome
-    todo = iter(range(len(items)))
+    todo = list(reversed(range(len(items))))
 
     def hand_next(fd: int) -> None:
-        index = next(todo, None)
-        if index is None:
-            poller.unregister(fd)  # the child has nothing left to send
-            return
-        working[fd] = index
-        try:
-            os.write(children[fd][1], index.to_bytes(8, "little"))
-        except BrokenPipeError:
-            pass  # the child is dead, which its result pipe shows
+        message = b""  # tasks as _serve reads them
+        if todo:
+            working[fd] = todo.pop()
+            message = (working[fd] + 1).to_bytes(8, "little")
+        if not todo:
+            message += bytes(8)  # so the child exits once it sends its last result
+        with suppress(BrokenPipeError):  # a dead child shows on its result pipe
+            os.write(children[fd][1], message)
 
     try:
         for _ in range(workers):
@@ -524,11 +494,15 @@ def _fork_map(function, items: list, workers: int):
             os.close(task_out)
             os.close(result_in)
             children[result_out] = pid, task_in, open(result_out, "rb")
-            poller.register(result_out, select.POLLIN)
             hand_next(result_out)
+        yield
         for turn in range(len(items)):
             while turn not in done:
-                for fd, _ in poller.poll():
+                ready = list(working)
+                if len(ready) > 1:
+                    import select  # here: one child at work is read without it
+                    ready = select.select(ready, [], [])[0]
+                for fd in ready:
                     outcome = _receive(children[fd][2])
                     if outcome is None:
                         raise WorkerDiedError(
@@ -541,8 +515,9 @@ def _fork_map(function, items: list, workers: int):
                 raise value
             yield value
     finally:
-        for pid, _, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
+        for fd in working:
+            import signal  # here: a run that ends in order kills nothing
+            os.kill(children[fd][0], signal.SIGKILL)
         for pid, task, pipe in children.values():
             os.waitpid(pid, 0)
             os.close(task)
@@ -551,15 +526,19 @@ def _fork_map(function, items: list, workers: int):
 
 def _serve(function, items: list, tasks: int, results: int, inherited: list) -> None:
     """A forked child's part of _fork_map: close the parent's pipe ends it
-    inherited, then send the outcome of function(items[i]) for each index i
-    received, until the task pipe closes, and exit."""
+    inherited, then send the outcome of function(items[i - 1]) for each task
+    i received, until a 0 or the end of the task pipe, and exit. An exception
+    pickle cannot rebuild is not sent, so the parent meets WorkerDiedError."""
     status = 1
     try:
         for fd in inherited:
             os.close(fd)
         with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
-            while len(index := inbox.read(8)) == 8:
-                _send(outbox, _outcome(function, items[int.from_bytes(index, "little")]))
+            while task := int.from_bytes(inbox.read(8), "little"):
+                ok, value = outcome = _outcome(function, items[task - 1])
+                if not ok:
+                    pickle.loads(pickle.dumps(value, protocol=5))
+                _send(outbox, outcome)
         status = 0
     finally:
         os._exit(status)

@@ -31,6 +31,7 @@ from labelshift.bench import (
     aggregate,
     build_bundle,
     evaluate,
+    failed_baselines,
     ingest_predictions,
     load_pools,
     plan_cells,
@@ -705,6 +706,13 @@ class TestRecordIO:
         )
         assert RunRecord.from_json_dict(rec.to_json_dict()) == rec
 
+    def test_metrics_at_their_bounds_read_back(self):
+        rec = RunRecord(task_id="t", alpha=None, seed=0, method="source_only",
+                        corrections="rw", estimator="rlls", target_accuracy=1.0,
+                        source_val_accuracy=0.0, marginal_l1_error=2.0,
+                        true_marginal=(1.0, 0.0), estimated_marginal=(0.0, 1.0))
+        assert RunRecord.from_json_dict(rec.to_json_dict()) == rec
+
     def test_none_fields_are_omitted(self):
         payload = record(error="ValueError: bad").to_json_dict()
         assert payload["v"] == 1
@@ -742,8 +750,18 @@ class TestRecordIO:
         ({"true_marginal": [0.5, "x"]}, "record.true_marginal[1]: "),
         ({"task_id": 3}, "record.task_id: "),
         ({"method": None}, "record.method: "),
+        ({"target_accuracy": math.nan}, "record.target_accuracy: "),
+        ({"target_accuracy": 1.5}, "record.target_accuracy: "),
+        ({"target_accuracy": -3}, "record.target_accuracy: "),
+        ({"source_val_accuracy": math.inf}, "record.source_val_accuracy: "),
+        ({"marginal_l1_error": 2.5}, "record.marginal_l1_error: "),
+        ({"marginal_l1_error": math.nan}, "record.marginal_l1_error: "),
+        ({"true_marginal": [1.5, -0.5]}, "record.true_marginal[1]: "),
+        ({"estimated_marginal": [0.5, math.inf]}, "record.estimated_marginal[1]: "),
     ], ids=["list", "null-seed", "string-seed", "fractional-seed", "bool-alpha",
-            "number-marginal", "string-in-marginal", "number-task-id", "null-method"])
+            "number-marginal", "string-in-marginal", "number-task-id", "null-method",
+            "nan-accuracy", "accuracy-above-one", "negative-accuracy", "infinite-val-accuracy",
+            "l1-above-two", "nan-l1", "negative-marginal-entry", "infinite-marginal-entry"])
     def test_bad_line_names_its_place_and_field(self, tmp_path, capsys, line, where):
         if isinstance(line, dict):
             line = {**baseline().to_json_dict(), **line}
@@ -814,6 +832,22 @@ class TestAggregate:
     def test_duplicate_baseline_raises(self):
         with pytest.raises(PairingError, match="duplicate"):
             aggregate([baseline(), baseline()])
+
+    def test_a_failed_baseline_leaves_its_coordinate_out(self):
+        kept = [baseline(acc=0.70, seed=0), record(acc=0.72, seed=0, l1=0.2),
+                baseline(acc=0.60, seed=2), record(acc=0.50, seed=2, l1=0.4)]
+        failed = [record(method="source_only", corrections="none", estimator=None, seed=1,
+                         error="DivergedError: loss is not finite"),
+                  record(acc=0.9, seed=1, l1=0.1)]
+        records = kept[:2] + failed + kept[2:]
+        assert failed_baselines(records) == [("t", 0.5, 1)]
+        assert aggregate(records) == aggregate(kept)
+        # A failed coordinate with nothing else to leave out is not named,
+        # and a retry that succeeded pairs as usual.
+        assert failed_baselines(kept + failed[:1]) == []
+        retried = records + [baseline(acc=0.8, seed=1)]
+        assert failed_baselines(retried) == []
+        assert aggregate(retried) == aggregate(kept + failed[1:] + retried[-1:])
 
     def test_failed_records_are_skipped(self):
         records = [baseline(), record(error="RuntimeError: x")]

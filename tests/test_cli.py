@@ -560,6 +560,58 @@ class TestReport:
                      "--out", str(out)]) == 0
         assert out.read_text() == run_summary
 
+    def test_a_failed_baseline_leaves_only_its_coordinate_out(self, tmp_path, capsys):
+        lines = []
+        for seed in range(3):
+            common = {"v": 1, "task_id": "blob", "alpha": 0.5, "seed": seed}
+            if seed == 1:
+                base = {"error": "DivergedError: training loss is not finite"}
+            else:
+                base = {"target_accuracy": 0.7 + seed / 100}
+            lines.append({**common, "method": "source_only", "corrections": "none",
+                          "estimator": None, **base})
+            lines.append({**common, "method": "pseudolabel", "corrections": "none",
+                          "estimator": None, "target_accuracy": 0.75})
+        paths = {}
+        for name, rows in (("all", lines), ("kept", lines[:2] + lines[4:])):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(json.dumps(row) + "\n" for row in rows))
+        summaries, errors = [], []
+        for name in ("all", "kept"):
+            out = tmp_path / f"{name}.csv"
+            assert main(["report", "--results", str(paths[name]), "--out", str(out)]) == 0
+            summaries.append(out.read_bytes())
+            errors.append(capsys.readouterr().err)
+        assert summaries[0] == summaries[1] and b"pseudolabel" in summaries[0]
+        assert errors == ["summary leaves out task 'blob', alpha 0.5, seed 1: its uncorrected "
+                          "source_only cell failed\n", ""]
+
+    def test_run_keeps_the_summary_when_a_baseline_fails(self, tmp_path, capsys,
+                                                           monkeypatch):
+        original, calls = bench_module.meta_adapt, []
+
+        def diverges(method, bundle, flags, cfg, **kwargs):
+            calls.append(method)
+            if calls == ["source_only"]:
+                raise labelshift.DivergedError("training loss is not finite")
+            return original(method, bundle, flags, cfg, **kwargs)
+
+        monkeypatch.setattr(bench_module, "meta_adapt", diverges)
+        config = write_config(tmp_path, methods=["source_only", "pseudolabel"],
+                              corrections=["none"])
+        assert main(["run", "--config", str(config), "--jobs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "summary leaves out task 'blob', alpha None, seed 0: its uncorrected "
+            "source_only cell failed",
+            "failed cell ('blob', None, 0, 'source_only', 'none', ''): "
+            "DivergedError: training loss is not finite",
+        ]
+        assert "summary.csv" in out and "4 records, 1 failed" in out
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in summary[1:]] == [["0.5", "pseudolabel"],
+                                                                 ["0.5", "source_only"]]
+
     def test_report_missing_results(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path / "none.jsonl"),
                      "--out", str(tmp_path / "s.csv")]) == 1

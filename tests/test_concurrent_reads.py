@@ -11,11 +11,13 @@ error. A serial read (one CPU, small files, or `--jobs 1`) must not fork.
 which must give each result in turn and leave no child behind.
 """
 
+import ast
 import contextlib
 import io
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,14 @@ import labelshift.cli as cli_module
 import labelshift.core as core_module
 from labelshift.bench import GridTask, load_pools
 from labelshift.cli import main
-from labelshift.core import LabeledSet, ParseError, _fork_map, _fork_pays, _read_pair
+from labelshift.core import (
+    LabeledSet,
+    ParseError,
+    WorkerDiedError,
+    _fork_map,
+    _fork_pays,
+    _read_pair,
+)
 from labelshift.shift import save_labeled_csv
 from tests.test_adapt import make_blobs
 from tests.test_golden import ALL_ESTIMATORS, write_dumps
@@ -158,6 +167,14 @@ class TestReadPair:
             assert _read_pair(reader, 1, 2, True) == (10, 20)
         assert len(forks) >= 1
 
+    def test_a_failed_fork_reads_both_here(self, monkeypatch):
+        def refuse():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert _read_pair(lambda item: (item, os.getpid()), 1, 2, True) == (
+            (1, os.getpid()), (2, os.getpid()))
+
     def test_serial_read_does_not_fork(self, no_fork):
         assert _read_pair(lambda item: item + 1, 1, 2, False) == (2, 3)
 
@@ -203,6 +220,37 @@ class TestForkMap:
         results.close()
         assert time.perf_counter() - started < 30
         assert len(forks) == 3
+
+
+    def test_the_children_are_forked_when_called(self, forks):
+        results = _fork_map(lambda item: item, [1, 2, 3], 2)
+        assert len(forks) == 2
+        results.close()  # before the first result, and no child is left
+
+    def test_an_error_pickle_cannot_rebuild_is_a_dead_worker(self, forks):
+        def work(item):
+            raise BadError(f"item{item}", 3)
+
+        with pytest.raises(WorkerDiedError, match="ended without sending its results"):
+            list(_fork_map(work, [1], 1))
+        assert len(forks) == 1
+
+
+class TestOneForkLayer:
+    def test_only_fork_map_forks_and_exits_children(self):
+        # Every child process starts and ends in core._fork_map's code path:
+        # os.fork in its generator, os._exit in _serve.
+        found = []
+        for path in sorted(Path(core_module.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                            and node.value.id == "os" and node.attr in ("fork", "_exit")):
+                        found.append((path.name, top.name, node.attr))
+                    elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                        found += [(path.name, "import", alias.name) for alias in node.names]
+        assert sorted(found) == [("core.py", "_forked_results", "fork"),
+                                 ("core.py", "_serve", "_exit")]
 
 
 def run_cli(argv, cpus, monkeypatch):

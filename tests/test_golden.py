@@ -28,6 +28,7 @@ from labelshift.bench import (
     GridConfig,
     GridTask,
     aggregate,
+    read_records,
     run_grid,
     write_predictions,
     write_summary_csv,
@@ -202,3 +203,15 @@ def test_parallel_grid_matches_golden(tmp_path):
     actual = grid_outputs(grid_configs(tmp_path)["mlp"], tmp_path / "mlp", jobs=2)
     found = first_difference(golden, actual, "outputs.mlp")
     assert found is None, f"first difference: {found}"
+
+
+def test_every_golden_record_reads_back(tmp_path):
+    # The golden grids cover every training path, and the gates above hold
+    # what they write to these records; each must pass the reader's checks.
+    golden = json.loads(GOLDEN_PATH.read_text())["outputs"]
+    rows = [row for name, grid in golden.items() if name != "estimate"
+            for row in grid["records"]]
+    path = tmp_path / "results.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert [r.to_json_dict() for r in read_records(path)] == rows
+    assert len(rows) > 100
