@@ -35,8 +35,8 @@ from labelshift.core import (
     ParseError,
     PredictionMatrix,
     RngStream,
-    _cast,
     _field_types,
+    _read_fields,
 )
 from labelshift.estimate import (
     EstimatorOutput,
@@ -722,20 +722,17 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """A save_model file, with every key typed and required as it writes it."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
-    required = {"kind", "input_dim", "classes", "hidden_units", "parameters",
-                "training_log", "loss_log"}
-    if not isinstance(payload, dict) or set(payload) != required:
-        raise ParseError(f"{path}: model file must contain exactly the keys {sorted(required)}")
-    spec_fields = {key: _cast(kind, payload[key], f"{path}: model.{key}")
-                   for key, kind in _field_types(ModelSpec).items()}
+    model_fields = ("parameters", "training_log", "loss_log")  # Model's, after spec
+    schema = {**_field_types(ModelSpec), **dict.fromkeys(model_fields, tuple[float, ...])}
+    values = _read_fields(payload, schema, schema, f"{path}: model")
+    rest = [values.pop(key) for key in model_fields]
     try:
-        spec = ModelSpec(**spec_fields)
-        return Model(spec, np.asarray(payload["parameters"], dtype=np.float64),
-                     tuple(payload["training_log"]), tuple(payload["loss_log"]))
-    except (InvalidInputError, DimensionError, TypeError, ValueError) as exc:
+        return Model(ModelSpec(**values), *rest)
+    except (InvalidInputError, DimensionError) as exc:
         raise ParseError(f"{path}: {exc}") from None

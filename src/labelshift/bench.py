@@ -44,6 +44,7 @@ from labelshift.core import (
     PairingError,
     ParseError,
     PredictionMatrix,
+    SUM_TOLERANCE,
     RngStream,
     _field_types,
     _fork_map,
@@ -188,6 +189,7 @@ class Cell:
 
 # The range of each metric a record may carry, from 0 up to this bound.
 _METRIC_BOUNDS = {"target_accuracy": 1.0, "source_val_accuracy": 1.0, "marginal_l1_error": 2.0}
+_MARGINALS = ("true_marginal", "estimated_marginal")
 
 
 @dataclass(frozen=True)
@@ -210,6 +212,45 @@ class RunRecord:
     wall_time_seconds: float | None = None
     error: str | None = None
 
+    def __post_init__(self):
+        """Refuse a record that claims what did not happen, with an
+        InvalidInputError whose message begins with the field at fault."""
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise InvalidInputError(f"alpha: expected a positive number or null, "
+                                    f"got {self.alpha!r}")
+        reweighted = "rw" in self.corrections.split("+")
+        if reweighted != (self.estimator is not None):
+            need = "need an estimator" if reweighted else "apply no estimator"
+            raise InvalidInputError(f"estimator: corrections {self.corrections!r} {need}, "
+                                    f"got {self.estimator!r}")
+        for key, bound in _METRIC_BOUNDS.items():
+            value = getattr(self, key)
+            if value is not None and not 0.0 <= value <= bound:
+                raise InvalidInputError(f"{key}: expected a number in [0, {bound:g}], "
+                                        f"got {value!r}")
+        for key in _MARGINALS:
+            marginal = getattr(self, key)
+            for i, value in enumerate(marginal or ()):
+                if not 0.0 <= value < math.inf:
+                    raise InvalidInputError(f"{key}[{i}]: expected a finite, non-negative "
+                                            f"number, got {value!r}")
+            if marginal is not None and abs(math.fsum(marginal) - 1.0) > SUM_TOLERANCE:
+                raise InvalidInputError(f"{key}: expected entries that sum to 1 within "
+                                        f"{SUM_TOLERANCE}, got {list(marginal)}")
+        if (self.true_marginal is not None and self.estimated_marginal is not None
+                and len(self.true_marginal) != len(self.estimated_marginal)):
+            raise InvalidInputError(f"estimated_marginal: expected {len(self.true_marginal)} "
+                                    f"entries, as true_marginal has, got "
+                                    f"{len(self.estimated_marginal)}")
+        if self.error is not None:
+            for key in (*_METRIC_BOUNDS, *_MARGINALS):
+                if getattr(self, key) is not None:
+                    raise InvalidInputError(f"{key}: expected none in an error record, "
+                                            f"got {getattr(self, key)!r}")
+        elif self.target_accuracy is None:
+            raise InvalidInputError("target_accuracy: expected a number in a record "
+                                    "without an error, got None")
+
     def key(self) -> tuple:
         return _cell_key(**vars(self))
 
@@ -225,26 +266,17 @@ class RunRecord:
 
     @classmethod
     def from_json_dict(cls, payload) -> "RunRecord":
-        """The record a results line holds. Beyond the types, each metric
-        must lie in its _METRIC_BOUNDS range, and each marginal entry must
-        be finite and non-negative; a value that breaks either is a
-        ParseError naming its key."""
+        """The record a results line holds. A value of the wrong type, or a
+        record __post_init__ refuses, is a ParseError naming its key."""
         if isinstance(payload, dict) and payload.get("v") != 1:
             raise ParseError(f"unsupported record version {payload.get('v')!r}")
         values = _read_fields(payload, {"v": int, **_field_types(cls)}, _required_fields(cls),
                               "record")
         del values["v"]
-        for key, bound in _METRIC_BOUNDS.items():
-            value = values.get(key)
-            if value is not None and not 0.0 <= value <= bound:
-                raise ParseError(f"record.{key}: expected a number in [0, {bound:g}], "
-                                 f"got {value!r}")
-        for key in ("true_marginal", "estimated_marginal"):
-            for i, value in enumerate(values.get(key) or ()):
-                if not 0.0 <= value < math.inf:
-                    raise ParseError(f"record.{key}[{i}]: expected a finite, non-negative "
-                                     f"number, got {value!r}")
-        return cls(**values)
+        try:
+            return cls(**values)
+        except InvalidInputError as exc:
+            raise ParseError(f"record.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -592,8 +624,9 @@ def run_grid(cfg: GridConfig, jobs: int = 1, resume: bool = False) -> list[RunRe
     changes; a resume whose config
     differs from it in anything but the axes (alphas, seeds, methods,
     corrections, estimators), or in a task it keeps, is an error naming the
-    first such field. A worker process that dies raises WorkerDiedError;
-    the records already written stay, and resume completes the grid.
+    first such field. A worker process that dies raises WorkerDiedError
+    once the records of every coordinate before its own are written; those
+    stay, and resume completes the grid.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be positive, got {jobs}")

@@ -451,7 +451,8 @@ def _fork_map(function, items: list, workers: int):
     no item is left; a result that comes early is held until its turn. An
     exception function raises in a child is raised in its item's turn. A
     child that ends without sending a whole result, or that met an exception
-    pickle cannot rebuild, raises WorkerDiedError. However the iterator ends
+    pickle cannot rebuild, raises WorkerDiedError in its item's turn; the
+    other children go on with the items left. However the iterator ends
     (the last result, an error, or closed), a child still at work is killed,
     and every child is waited for.
     """
@@ -498,18 +499,20 @@ def _forked_results(function, items: list, workers: int):
         yield
         for turn in range(len(items)):
             while turn not in done:
+                if not working:
+                    raise WorkerDiedError(f"no worker process is left to run item {turn}")
                 ready = list(working)
                 if len(ready) > 1:
                     import select  # here: one child at work is read without it
                     ready = select.select(ready, [], [])[0]
                 for fd in ready:
-                    outcome = _receive(children[fd][2])
-                    if outcome is None:
-                        raise WorkerDiedError(
-                            f"worker process {children[fd][0]} ended without sending its results"
-                        )
-                    done[working.pop(fd)] = outcome
-                    hand_next(fd)
+                    index = working.pop(fd)
+                    done[index] = _receive(children[fd][2])
+                    if done[index] is None:  # a dead child fails its own item and gets no more
+                        done[index] = False, WorkerDiedError(
+                            f"worker process {children[fd][0]} ended without sending its results")
+                    else:
+                        hand_next(fd)
             ok, value = done.pop(turn)
             if not ok:
                 raise value
@@ -565,8 +568,8 @@ def weights_to_marginal(weights, source_marginal) -> LabelMarginal:
 
 # ---------------------------------------------------------------------------
 # Checked reading of the JSON objects the package reads back: grid configs,
-# results records and bundle manifests. A key's type is the annotation of the
-# dataclass field it sets.
+# results records, bundle manifests and model files. A key's type is the
+# annotation of the dataclass field it sets.
 
 
 @functools.cache

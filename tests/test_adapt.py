@@ -773,17 +773,18 @@ class TestModelSerialization:
         payload = json.loads(path.read_text())
         del payload["classes"]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParseError, match="exactly the keys"):
+        with pytest.raises(ParseError, match="missing required key 'classes'"):
             load_model(path)
         payload["classes"] = 2
         payload["extra"] = 1
         path.write_text(json.dumps(payload))
-        with pytest.raises(ParseError, match="exactly the keys"):
+        with pytest.raises(ParseError, match="unknown key 'extra'"):
             load_model(path)
 
     @pytest.mark.parametrize("key,value", [
         ("hidden_units", 32.9), ("hidden_units", True), ("hidden_units", None),
         ("input_dim", 2.5), ("classes", False), ("kind", 5),
+        ("training_log", [True]), ("parameters", [True] + [0.0] * (2 * 32 + 32 + 32 * 2 + 1)),
     ])
     def test_mistyped_spec_field_names_file_and_key(self, tmp_path, key, value):
         import json
@@ -796,7 +797,8 @@ class TestModelSerialization:
         with pytest.raises(ParseError) as info:
             load_model(path)
         message = str(info.value)
-        assert message.startswith(f"{path}: model.{key}: ") and "\n" not in message
+        where = f"model.{key}[0]" if isinstance(value, list) else f"model.{key}"
+        assert message.startswith(f"{path}: {where}: ") and "\n" not in message
 
     def test_integral_float_reads_as_int(self, tmp_path):
         import json

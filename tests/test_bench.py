@@ -139,9 +139,11 @@ class TestRelativeAccuracy:
 
     def test_baseline_must_be_uncorrected_source_only(self):
         with pytest.raises(PairingError, match="source_only"):
-            relative_accuracy(record(), record(method="pseudolabel", corrections="none"))
+            relative_accuracy(record(), record(method="pseudolabel", corrections="none",
+                                               estimator=None))
         with pytest.raises(PairingError):
-            relative_accuracy(record(), record(method="source_only", corrections="rs"))
+            relative_accuracy(record(), record(method="source_only", corrections="rs",
+                                               estimator=None))
 
     def test_coordinates_must_match(self):
         with pytest.raises(PairingError):
@@ -627,15 +629,21 @@ class TestRunGrid:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grid workers fork")
     def test_killed_worker_raises(self, tmp_path, monkeypatch):
+        grid = dict(alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1))
+        run_grid(tiny_grid(tmp_path, output_dir=str(tmp_path / "serial"), **grid))
         original = bench_module.build_bundle
 
         def killed(cfg, task, alpha, seed, pools=None):
+            # The other worker reaches coordinate 6 and dies while the first
+            # sleeps; coordinate 0's records must still be written.
+            if (alpha, seed) == (None, 0):
+                time.sleep(1.0)
             if (alpha, seed) == (1.0, 0):
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(cfg, task, alpha, seed, pools)
 
         monkeypatch.setattr(bench_module, "build_bundle", killed)
-        cfg = tiny_grid(tmp_path, alphas=(None, 10.0, 3.0, 1.0, 0.5), seeds=(0, 1))
+        cfg = tiny_grid(tmp_path, **grid)
         raised = []
 
         def run():
@@ -650,8 +658,12 @@ class TestRunGrid:
         assert not worker.is_alive()
         assert len(raised) == 1 and isinstance(raised[0], WorkerDiedError)
         assert "ended without sending its results" in str(raised[0])
-        written = read_records(tmp_path / "out" / RESULTS_FILENAME)
-        assert 0 < len(written) < 10 * 2
+        # Every record of coordinates 0-5, the ones before the dead worker's.
+        written = (tmp_path / "out" / RESULTS_FILENAME).read_text().splitlines()
+        serial = (tmp_path / "serial" / RESULTS_FILENAME).read_text().splitlines()
+        assert len(written) == 12
+        assert [without_wall_time(line) for line in written] == [
+            without_wall_time(line) for line in serial[:12]]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grid workers fork")
     def test_dead_worker_raises_and_resume_completes(self, tmp_path, monkeypatch):
@@ -758,10 +770,24 @@ class TestRecordIO:
         ({"marginal_l1_error": math.nan}, "record.marginal_l1_error: "),
         ({"true_marginal": [1.5, -0.5]}, "record.true_marginal[1]: "),
         ({"estimated_marginal": [0.5, math.inf]}, "record.estimated_marginal[1]: "),
+        ({"true_marginal": [0.5, 0.5], "estimated_marginal": [0.2, 0.3, 0.5]},
+         "record.estimated_marginal: "),
+        ({"true_marginal": [0.5, 0.6]}, "record.true_marginal: "),
+        ({"alpha": 0}, "record.alpha: "),
+        ({"alpha": -0.5}, "record.alpha: "),
+        ({"estimator": "rlls"}, "record.estimator: "),
+        ({"corrections": "rs+rw"}, "record.estimator: "),
+        ({"error": "ValueError: bad"}, "record.target_accuracy: "),
+        ({"target_accuracy": None, "error": "ValueError: bad", "true_marginal": [0.5, 0.5]},
+         "record.true_marginal: "),
+        ({"target_accuracy": None}, "record.target_accuracy: "),
     ], ids=["list", "null-seed", "string-seed", "fractional-seed", "bool-alpha",
             "number-marginal", "string-in-marginal", "number-task-id", "null-method",
             "nan-accuracy", "accuracy-above-one", "negative-accuracy", "infinite-val-accuracy",
-            "l1-above-two", "nan-l1", "negative-marginal-entry", "infinite-marginal-entry"])
+            "l1-above-two", "nan-l1", "negative-marginal-entry", "infinite-marginal-entry",
+            "unequal-marginals", "marginal-off-simplex", "zero-alpha", "negative-alpha",
+            "estimator-without-rw", "rw-without-estimator", "error-with-accuracy",
+            "error-with-marginal", "success-without-accuracy"])
     def test_bad_line_names_its_place_and_field(self, tmp_path, capsys, line, where):
         if isinstance(line, dict):
             line = {**baseline().to_json_dict(), **line}

@@ -1,10 +1,13 @@
+import ast
 import concurrent.futures
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import labelshift
 from labelshift.core import (
     DegenerateEstimateError,
     DimensionError,
@@ -246,3 +249,31 @@ class TestRngStream:
     def test_rejects_unhashable_labels(self):
         with pytest.raises(InvalidInputError):
             RngStream(1).derive(object())
+
+
+class TestOneCheckedReader:
+    # Functions that parse JSON without core._read_fields, each with its reason.
+    UNCHECKED = {
+        # Round-trips the config document it builds itself into JSON values.
+        ("bench.py", "_config_document"),
+        # Reads results_config.json, which _check_same_records compares field
+        # by field with the current config; nothing is built from it.
+        ("bench.py", "run_grid"),
+    }
+
+    def test_json_is_read_through_the_checked_reader(self):
+        # A JSON document the package reads is checked by _read_fields, or by
+        # RunRecord.from_json_dict, which calls it: no file format gets a
+        # reader with its own key and type checks.
+        found = set()
+        for path in sorted(Path(labelshift.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "json":
+                    found.add((path.name, "import"))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    calls = {ast.unparse(call.func) for call in ast.walk(node)
+                             if isinstance(call, ast.Call)}
+                    if (calls & {"json.load", "json.loads"}
+                            and not calls & {"_read_fields", "RunRecord.from_json_dict"}):
+                        found.add((path.name, node.name))
+        assert found == self.UNCHECKED
