@@ -729,7 +729,7 @@ def load_model(path) -> Model:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     model_fields = ("parameters", "training_log", "loss_log")  # Model's, after spec
-    schema = {**_field_types(ModelSpec), **dict.fromkeys(model_fields, tuple[float, ...])}
+    schema = _field_types(ModelSpec, **dict.fromkeys(model_fields, tuple[float, ...]))
     values = _read_fields(payload, schema, schema, f"{path}: model")
     rest = [values.pop(key) for key in model_fields]
     try:

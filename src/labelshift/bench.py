@@ -38,7 +38,6 @@ from labelshift.adapt import (
 from labelshift.core import (
     DimensionError,
     InvalidInputError,
-    LabelMarginal,
     LabeledSet,
     LabelShiftError,
     PairingError,
@@ -218,9 +217,20 @@ class RunRecord:
         if self.alpha is not None and not 0.0 < self.alpha < math.inf:
             raise InvalidInputError(f"alpha: expected a positive number or null, "
                                     f"got {self.alpha!r}")
-        reweighted = "rw" in self.corrections.split("+")
-        if reweighted != (self.estimator is not None):
-            need = "need an estimator" if reweighted else "apply no estimator"
+        if self.method not in ALGORITHMS:
+            raise InvalidInputError(f"method: expected one of {ALGORITHMS}, got {self.method!r}")
+        try:
+            flags = CorrectionFlags.from_label(self.corrections)
+        except InvalidInputError:
+            flags = None
+        if flags is None or flags.label() != self.corrections:
+            raise InvalidInputError(f"corrections: expected a correction label as the grid "
+                                    f"writes it, such as 'rs+rw', got {self.corrections!r}")
+        if self.estimator is not None and self.estimator not in ESTIMATORS:
+            raise InvalidInputError(f"estimator: expected one of {ESTIMATORS} or null, "
+                                    f"got {self.estimator!r}")
+        if flags.reweight != (self.estimator is not None):
+            need = "need an estimator" if flags.reweight else "apply no estimator"
             raise InvalidInputError(f"estimator: corrections {self.corrections!r} {need}, "
                                     f"got {self.estimator!r}")
         for key, bound in _METRIC_BOUNDS.items():
@@ -270,8 +280,7 @@ class RunRecord:
         record __post_init__ refuses, is a ParseError naming its key."""
         if isinstance(payload, dict) and payload.get("v") != 1:
             raise ParseError(f"unsupported record version {payload.get('v')!r}")
-        values = _read_fields(payload, {"v": int, **_field_types(cls)}, _required_fields(cls),
-                              "record")
+        values = _read_fields(payload, _field_types(cls, v=int), _required_fields(cls), "record")
         del values["v"]
         try:
             return cls(**values)

@@ -94,10 +94,9 @@ _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2")
 def _parse_task(entry, index: int) -> GridTask:
     where = f"tasks[{index}]"
     if isinstance(entry, dict) and "data_dir" in entry:
-        schema = {**_field_types(GridTask, ("name",)), "data_dir": str}
+        schema = _field_types(GridTask, ("name",), data_dir=str)
         return GridTask(**_read_fields(entry, schema, _required_fields(GridTask), where))
-    schema = {**_field_types(SynthTaskSpec, _SYNTH_TASK_KEYS),
-              **_field_types(GridTask, ("epsilon",))}
+    schema = _field_types(SynthTaskSpec, _SYNTH_TASK_KEYS, **_field_types(GridTask, ("epsilon",)))
     synth = _read_fields(entry, schema, _required_fields(SynthTaskSpec), where)
     task = {"epsilon": synth.pop("epsilon")} if "epsilon" in synth else {}
     return GridTask(name=synth["name"], synth=SynthTaskSpec(**synth), **task)

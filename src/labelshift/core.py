@@ -569,23 +569,25 @@ def weights_to_marginal(weights, source_marginal) -> LabelMarginal:
 # ---------------------------------------------------------------------------
 # Checked reading of the JSON objects the package reads back: grid configs,
 # results records, bundle manifests and model files. A key's type is the
-# annotation of the dataclass field it sets.
+# annotation of the dataclass field it sets, and its value must be of that type
+# in JSON already: a number field takes no string, and no field takes a bool.
 
 
 @functools.cache
-def _field_types(cls, names: tuple | None = None) -> types.MappingProxyType:
-    """{name: annotated type} for the named fields of a dataclass, or for all
-    of its fields, in order. Resolved when a file is first read, not at
-    import, since get_type_hints evaluates every annotation of the class."""
+def _field_types(cls, names: tuple | None = None, **more) -> types.MappingProxyType:
+    """{name: annotated type} for the named fields of a dataclass, or all of
+    them, in order, updated with more. Resolved when a file is first read, not
+    at import, since get_type_hints evaluates every annotation of the class."""
     hints = typing.get_type_hints(cls)
     names = names or [f.name for f in dataclasses.fields(cls)]
-    return types.MappingProxyType({name: hints[name] for name in names})
+    return types.MappingProxyType({**{name: hints[name] for name in names}, **more})
 
 
-def _required_fields(cls) -> set:
+@functools.cache
+def _required_fields(cls) -> frozenset:
     """The fields of a dataclass that have no default."""
-    return {f.name for f in dataclasses.fields(cls)
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    return frozenset(f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING
+                     and f.default_factory is dataclasses.MISSING)
 
 
 def _check_keys(obj, allowed, required, where: str) -> None:
@@ -608,31 +610,26 @@ def _items(value, where: str) -> list:
 def _cast(kind, value, where: str):
     """value as the annotated type kind, or a ParseError naming where.
 
-    None fits only an optional type, and a list only a tuple[X, ...], whose
-    items are cast to X. A str takes only a string. An int or float takes
-    what its constructor takes except a bool, and an int no float with a
-    fraction, which int() would drop. Any other kind is called on the value.
+    value must already have its JSON type. None fits only an optional kind. A
+    str takes a string, an int an integer or a float with no fraction, and a
+    float any number that fits a float; none takes a bool. A tuple[X, ...]
+    takes a list, as it is if every item is exactly X, else item by item.
     """
+    if type(value) is kind:
+        return value
     if typing.get_origin(kind) in (typing.Union, types.UnionType):
-        if value is None:
-            return None
         (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+        return None if value is None else _cast(kind, value, where)
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
-        return tuple(_cast(item, v, f"{where}[{i}]") for i, v in enumerate(_items(value, where)))
-    if kind not in (str, int, float):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, LabelShiftError) as exc:
-            raise ParseError(f"{where}: {exc}") from None
-    fits = isinstance(value, str) if kind is str else not isinstance(value, bool)
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        fits = False
-    if fits:
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+        if all(type(v) is item for v in _items(value, where)):
+            return tuple(value)
+        return tuple(_cast(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int:
+        with suppress(OverflowError):  # an integer too large for a float
+            return float(value)
     raise ParseError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 

@@ -26,7 +26,6 @@ from labelshift.core import (
     LabelMarginal,
     PredictionMatrix,
     SoftConfusion,
-    l1_distance,
     project_simplex,
     weights_to_marginal,
 )

@@ -491,8 +491,8 @@ def save_bundle(bundle: TaskBundle, directory) -> None:
 
 def load_bundle(directory) -> TaskBundle:
     """Read a bundle directory. Each manifest key is cast to the type of its
-    TaskBundle field; a bad, unknown or missing key is a ParseError naming
-    the manifest and the key."""
+    TaskBundle field (true_target_marginal first to a list of floats); a bad,
+    unknown or missing key is a ParseError naming the manifest and the key."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -502,8 +502,13 @@ def load_bundle(directory) -> TaskBundle:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{manifest_path}: {exc}") from None
-    values = _read_fields(manifest, _field_types(TaskBundle, _MANIFEST_KEYS), _MANIFEST_KEYS,
-                          f"{manifest_path}: manifest")
+    where = f"{manifest_path}: manifest"
+    schema = _field_types(TaskBundle, _MANIFEST_KEYS, true_target_marginal=tuple[float, ...])
+    values = _read_fields(manifest, schema, _MANIFEST_KEYS, where)
+    try:
+        values["true_target_marginal"] = LabelMarginal(values["true_target_marginal"])
+    except LabelShiftError as exc:
+        raise ParseError(f"{where}.true_target_marginal: {exc}") from None
     sets = {split: load_labeled_csv(directory / f"{split}.csv") for split in _SPLITS}
     try:
         return TaskBundle(**values, **sets)

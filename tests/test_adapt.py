@@ -785,6 +785,7 @@ class TestModelSerialization:
         ("hidden_units", 32.9), ("hidden_units", True), ("hidden_units", None),
         ("input_dim", 2.5), ("classes", False), ("kind", 5),
         ("training_log", [True]), ("parameters", [True] + [0.0] * (2 * 32 + 32 + 32 * 2 + 1)),
+        ("hidden_units", "32"), ("parameters", ["0.5"] + [0.0] * (2 * 32 + 32 + 32 * 2 + 1)),
     ])
     def test_mistyped_spec_field_names_file_and_key(self, tmp_path, key, value):
         import json

@@ -781,13 +781,25 @@ class TestRecordIO:
         ({"target_accuracy": None, "error": "ValueError: bad", "true_marginal": [0.5, 0.5]},
          "record.true_marginal: "),
         ({"target_accuracy": None}, "record.target_accuracy: "),
+        ({"alpha": "0.5"}, "record.alpha: "),
+        ({"seed": " 3 "}, "record.seed: "),
+        ({"target_accuracy": "0.75"}, "record.target_accuracy: "),
+        ({"method": "magic"}, "record.method: "),
+        ({"corrections": "rw+zz", "estimator": "rlls"}, "record.corrections: "),
+        ({"corrections": "rw+rs", "estimator": "rlls"}, "record.corrections: "),
+        ({"corrections": "none+rs"}, "record.corrections: "),
+        ({"corrections": "rw", "estimator": "oracle"}, "record.estimator: "),
+        ({"alpha": 10**400}, "record.alpha: "),
     ], ids=["list", "null-seed", "string-seed", "fractional-seed", "bool-alpha",
             "number-marginal", "string-in-marginal", "number-task-id", "null-method",
             "nan-accuracy", "accuracy-above-one", "negative-accuracy", "infinite-val-accuracy",
             "l1-above-two", "nan-l1", "negative-marginal-entry", "infinite-marginal-entry",
             "unequal-marginals", "marginal-off-simplex", "zero-alpha", "negative-alpha",
             "estimator-without-rw", "rw-without-estimator", "error-with-accuracy",
-            "error-with-marginal", "success-without-accuracy"])
+            "error-with-marginal", "success-without-accuracy", "string-alpha",
+            "padded-string-seed", "string-accuracy", "unknown-method",
+            "unknown-correction-token", "unordered-corrections", "none-with-corrections",
+            "unknown-estimator", "alpha-too-large-for-a-float"])
     def test_bad_line_names_its_place_and_field(self, tmp_path, capsys, line, where):
         if isinstance(line, dict):
             line = {**baseline().to_json_dict(), **line}

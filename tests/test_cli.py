@@ -107,6 +107,9 @@ class TestRun:
         ({"train": {"epochs": 2.9}}, "train.epochs"),
         ({"train": {"learning_rate": True}}, "train.learning_rate"),
         ({"tasks": [{"name": "pool", "data_dir": None}]}, "tasks[0].data_dir"),
+        ({"seed": "7"}, "seed"),
+        ({"alphas": ["0.5"]}, "alphas[0]"),
+        ({"train": {"epochs": "2"}}, "train.epochs"),
     ])
     def test_wrongly_typed_value_is_a_one_line_error(self, tmp_path, capsys, override,
                                                      where):

@@ -277,3 +277,24 @@ class TestOneCheckedReader:
                             and not calls & {"_read_fields", "RunRecord.from_json_dict"}):
                         found.add((path.name, node.name))
         assert found == self.UNCHECKED
+
+
+class TestImports:
+    def test_every_imported_name_is_used(self):
+        # A name a module imports and never uses reads as a dependency it does
+        # not have. A name used only in an annotation counts as used.
+        unused = []
+        for path in sorted(Path(labelshift.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    names = [alias.asname or alias.name for alias in node.names]
+                else:
+                    continue
+                unused += [f"{path.name}: {name}" for name in names if name not in used]
+        assert unused == []

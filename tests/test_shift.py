@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -359,7 +360,12 @@ class TestPersistence:
         manifest.write_text(data.replace('"k": 2', '"k": 2, "extra": 1'))
         with pytest.raises(ParseError, match="extra"):
             load_bundle(tmp_path / "b")
-        for bad in ("null", "2.5", "true"):
+        for bad in ("null", "2.5", "true", '"2"'):
             manifest.write_text(data.replace('"k": 2', f'"k": {bad}'))
             with pytest.raises(ParseError, match=r"manifest\.json: manifest\.k: expected int"):
+                load_bundle(tmp_path / "b")
+        for bad in ([True, 0], ["0.5", 0.5]):
+            manifest.write_text(json.dumps({**json.loads(data), "true_target_marginal": bad}))
+            with pytest.raises(ParseError, match=r"manifest\.json: manifest\."
+                               r"true_target_marginal\[0\]: expected float"):
                 load_bundle(tmp_path / "b")
