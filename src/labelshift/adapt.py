@@ -35,8 +35,8 @@ from labelshift.core import (
     ParseError,
     PredictionMatrix,
     RngStream,
-    _field_types,
     _read_fields,
+    _schema,
 )
 from labelshift.estimate import (
     EstimatorOutput,
@@ -729,8 +729,10 @@ def load_model(path) -> Model:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     model_fields = ("parameters", "training_log", "loss_log")  # Model's, after spec
-    schema = _field_types(ModelSpec, **dict.fromkeys(model_fields, tuple[float, ...]))
-    values = _read_fields(payload, schema, schema, f"{path}: model")
+    schema = _schema(ModelSpec, required=("kind", "input_dim", "classes", "hidden_units",
+                                          *model_fields),
+                     **dict.fromkeys(model_fields, tuple[float, ...]))
+    values = _read_fields(payload, schema, f"{path}: model")
     rest = [values.pop(key) for key in model_fields]
     try:
         return Model(ModelSpec(**values), *rest)

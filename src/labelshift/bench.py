@@ -45,12 +45,11 @@ from labelshift.core import (
     PredictionMatrix,
     SUM_TOLERANCE,
     RngStream,
-    _field_types,
     _fork_map,
     _fork_pays,
     _read_pair,
     _read_fields,
-    _required_fields,
+    _schema,
     l1_distance,
 )
 from labelshift.estimate import ESTIMATORS
@@ -280,7 +279,7 @@ class RunRecord:
         record __post_init__ refuses, is a ParseError naming its key."""
         if isinstance(payload, dict) and payload.get("v") != 1:
             raise ParseError(f"unsupported record version {payload.get('v')!r}")
-        values = _read_fields(payload, _field_types(cls, v=int), _required_fields(cls), "record")
+        values = _read_fields(payload, _schema(cls, v=int), "record")
         del values["v"]
         try:
             return cls(**values)

@@ -55,13 +55,13 @@ from labelshift.core import (
     WorkerDiedError,
     _available_cpus,
     _cast,
+    _caster,
     _check_keys,
-    _field_types,
     _fork_pays,
     _items,
     _read_pair,
     _read_fields,
-    _required_fields,
+    _schema,
 )
 from labelshift.estimate import ESTIMATORS, estimate_marginal
 from labelshift.shift import (
@@ -94,10 +94,8 @@ _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate", "l2")
 def _parse_task(entry, index: int) -> GridTask:
     where = f"tasks[{index}]"
     if isinstance(entry, dict) and "data_dir" in entry:
-        schema = _field_types(GridTask, ("name",), data_dir=str)
-        return GridTask(**_read_fields(entry, schema, _required_fields(GridTask), where))
-    schema = _field_types(SynthTaskSpec, _SYNTH_TASK_KEYS, **_field_types(GridTask, ("epsilon",)))
-    synth = _read_fields(entry, schema, _required_fields(SynthTaskSpec), where)
+        return GridTask(**_read_fields(entry, _schema(GridTask, ("name",), data_dir=str), where))
+    synth = _read_fields(entry, _schema(SynthTaskSpec, _SYNTH_TASK_KEYS, epsilon=float), where)
     task = {"epsilon": synth.pop("epsilon")} if "epsilon" in synth else {}
     return GridTask(name=synth["name"], synth=SynthTaskSpec(**synth), **task)
 
@@ -108,7 +106,7 @@ def _parse_corrections(entry, index: int) -> CorrectionFlags:
     if isinstance(entry, dict):
         _check_keys(entry, {"flags", "estimator"}, {"flags"}, where)
         entry, estimator = entry["flags"], entry.get("estimator")
-    return CorrectionFlags.from_label(_cast(str, entry, where), estimator=estimator)
+    return CorrectionFlags.from_label(_cast(_caster(str), entry, where), estimator=estimator)
 
 
 def load_grid_config(path) -> GridConfig:
@@ -124,20 +122,19 @@ def load_grid_config(path) -> GridConfig:
             raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from None
     _check_keys(doc, _TOP_KEYS, {"tasks"}, str(path))
 
-    schema = _field_types(GridConfig, _GRID_KEYS)
-    kwargs = {key: _cast(schema[key], doc[key], key) for key in _GRID_KEYS if key in doc}
+    casters = _schema(GridConfig, _GRID_KEYS)[0]
+    kwargs = {key: _cast(casters[key], doc[key], key) for key in _GRID_KEYS if key in doc}
     kwargs["tasks"] = tuple(_parse_task(t, i) for i, t in enumerate(_items(doc["tasks"], "tasks")))
     if "corrections" in doc:
         kwargs["corrections"] = tuple(_parse_corrections(c, i) for i, c
                                       in enumerate(_items(doc["corrections"], "corrections")))
-    model = _field_types(ModelSpec, ("kind", "hidden_units"))
-    for key, value in _read_fields(doc.get("model", {}), model, (), "model").items():
+    model = _schema(GridConfig, ("hidden_units",), kind=str)
+    for key, value in _read_fields(doc.get("model", {}), model, "model").items():
         kwargs["model_kind" if key == "kind" else key] = value
     for section, cls, keys in (("train", TrainConfig, _TRAIN_KEYS),
-                               ("pseudolabel", PseudoLabelConfig, None)):
+                               ("pseudolabel", PseudoLabelConfig, ())):
         if section in doc:
-            kwargs[section] = cls(**_read_fields(doc[section], _field_types(cls, keys), (),
-                                                 section))
+            kwargs[section] = cls(**_read_fields(doc[section], _schema(cls, keys), section))
     return GridConfig(**kwargs)
 
 

@@ -574,31 +574,66 @@ def weights_to_marginal(weights, source_marginal) -> LabelMarginal:
 
 
 @functools.cache
-def _field_types(cls, names: tuple | None = None, **more) -> types.MappingProxyType:
-    """{name: annotated type} for the named fields of a dataclass, or all of
-    them, in order, updated with more. Resolved when a file is first read, not
-    at import, since get_type_hints evaluates every annotation of the class."""
-    hints = typing.get_type_hints(cls)
-    names = names or [f.name for f in dataclasses.fields(cls)]
-    return types.MappingProxyType({**{name: hints[name] for name in names}, **more})
+def _caster(kind):
+    """The function that returns a JSON value as the annotated type kind, or
+    raises a ParseError whose message goes after the value's name, such as
+    "[2]: expected float, got True". None fits only an optional kind. A str
+    takes a string, an int an integer or a float with no fraction, and a float
+    any number that fits a float; none takes a bool. A tuple[X, ...] takes a
+    list, as it is if every item is exactly X, else item by item."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:
+        return functools.partial(_cast_items, args[0], _caster(args[0]))
+    if origin in (typing.Union, types.UnionType):
+        (kind,) = [arg for arg in args if arg is not type(None)]
+        cast = _caster(kind)
+        return lambda value: None if value is None else cast(value)
+    return functools.partial(_cast_value, kind)
+
+
+def _cast_value(kind, value):
+    if type(value) is kind:
+        return value
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int:
+        with suppress(OverflowError):  # an integer too large for a float
+            return float(value)
+    raise ParseError(f": expected {kind.__name__}, got {value!r}")
+
+
+def _cast_items(item, cast, value) -> tuple:
+    if all(type(v) is item for v in _items(value, "")):
+        return tuple(value)
+    return tuple(_cast(cast, v, "[", i, "]") for i, v in enumerate(value))
 
 
 @functools.cache
-def _required_fields(cls) -> frozenset:
-    """The fields of a dataclass that have no default."""
-    return frozenset(f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING
-                     and f.default_factory is dataclasses.MISSING)
+def _schema(cls, names: tuple = (), required: tuple | None = None, **more) -> tuple:
+    """({key: caster}, required keys) for one kind of JSON object. A key is
+    typed by the annotation of the dataclass field of its name, for the
+    fields in names (by default all), or by its type in more. The required
+    keys are those given, by default the named fields that have no default.
+    Built on the first read, not at import, since get_type_hints evaluates
+    every annotation of the class."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name in (names or hints)]
+    if required is None:
+        required = [f.name for f in fields if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING]
+    kinds = {f.name: hints[f.name] for f in fields} | more
+    return {key: _caster(kind) for key, kind in kinds.items()}, frozenset(required)
 
 
 def _check_keys(obj, allowed, required, where: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = obj.keys() - allowed
     if unknown:
-        raise ParseError(f"{where}: unknown key {unknown[0]!r}")
-    missing = sorted(set(required) - set(obj))
+        raise ParseError(f"{where}: unknown key {min(unknown)!r}")
+    missing = required.difference(obj)
     if missing:
-        raise ParseError(f"{where}: missing required key {missing[0]!r}")
+        raise ParseError(f"{where}: missing required key {min(missing)!r}")
 
 
 def _items(value, where: str) -> list:
@@ -607,34 +642,19 @@ def _items(value, where: str) -> list:
     return value
 
 
-def _cast(kind, value, where: str):
-    """value as the annotated type kind, or a ParseError naming where.
-
-    value must already have its JSON type. None fits only an optional kind. A
-    str takes a string, an int an integer or a float with no fraction, and a
-    float any number that fits a float; none takes a bool. A tuple[X, ...]
-    takes a list, as it is if every item is exactly X, else item by item.
-    """
-    if type(value) is kind:
-        return value
-    if typing.get_origin(kind) in (typing.Union, types.UnionType):
-        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
-        return None if value is None else _cast(kind, value, where)
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        if all(type(v) is item for v in _items(value, where)):
-            return tuple(value)
-        return tuple(_cast(item, v, f"{where}[{i}]") for i, v in enumerate(value))
-    if kind is int and type(value) is float and value.is_integer():
-        return int(value)
-    if kind is float and type(value) is int:
-        with suppress(OverflowError):  # an integer too large for a float
-            return float(value)
-    raise ParseError(f"{where}: expected {kind.__name__}, got {value!r}")
+def _cast(cast, value, *name):
+    """cast(value), or a ParseError naming the value by the parts of name,
+    which are joined only on that failure."""
+    try:
+        return cast(value)
+    except ParseError as exc:
+        raise ParseError("".join(map(str, name)) + str(exc)) from None
 
 
-def _read_fields(obj, schema: dict, required, where: str) -> dict:
-    """The keys a JSON object sets, each cast to its type in schema. A key
-    outside schema, or a required key the object lacks, is a ParseError."""
-    _check_keys(obj, schema, required, where)
-    return {key: _cast(schema[key], value, f"{where}.{key}") for key, value in obj.items()}
+def _read_fields(obj, schema: tuple, where: str) -> dict:
+    """The keys a JSON object sets, each cast by its caster in a _schema. A
+    key outside the schema, a required key the object lacks, or a value of the
+    wrong type is a ParseError naming where (and the key)."""
+    casters, required = schema
+    _check_keys(obj, casters.keys(), required, where)
+    return {key: _cast(casters[key], value, where, ".", key) for key, value in obj.items()}

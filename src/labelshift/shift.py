@@ -35,8 +35,8 @@ from labelshift.core import (
     ParseError,
     PredictionMatrix,
     RngStream,
-    _field_types,
     _read_fields,
+    _schema,
     _sealed,
 )
 
@@ -89,6 +89,14 @@ class SynthTaskSpec:
             raise InvalidInputError("class_separation must be positive")
 
 
+def _check_provenance(name: str, alpha, epsilon) -> None:
+    """Refuse what no task is made with: an empty name, or an alpha or
+    epsilon ShiftSpec refuses (with ShiftSpec's message)."""
+    if not name:
+        raise InvalidInputError("task name must be nonempty")
+    ShiftSpec(alpha, epsilon)
+
+
 # A bundle's labeled splits; a bundle directory stores each as <split>.csv.
 _SPLITS = ("source_train", "source_val", "target_train", "target_test")
 
@@ -115,6 +123,7 @@ class TaskBundle:
     true_target_marginal: LabelMarginal
 
     def __post_init__(self):
+        _check_provenance(self.name, self.alpha, self.epsilon)
         for label in _SPLITS:
             ds = getattr(self, label)
             if ds.d != self.d:
@@ -492,7 +501,8 @@ def save_bundle(bundle: TaskBundle, directory) -> None:
 def load_bundle(directory) -> TaskBundle:
     """Read a bundle directory. Each manifest key is cast to the type of its
     TaskBundle field (true_target_marginal first to a list of floats); a bad,
-    unknown or missing key is a ParseError naming the manifest and the key."""
+    unknown or missing key, or a name, alpha or epsilon that no task is made
+    with, is a ParseError naming the manifest and the key."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -503,8 +513,12 @@ def load_bundle(directory) -> TaskBundle:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{manifest_path}: {exc}") from None
     where = f"{manifest_path}: manifest"
-    schema = _field_types(TaskBundle, _MANIFEST_KEYS, true_target_marginal=tuple[float, ...])
-    values = _read_fields(manifest, schema, _MANIFEST_KEYS, where)
+    schema = _schema(TaskBundle, _MANIFEST_KEYS, true_target_marginal=tuple[float, ...])
+    values = _read_fields(manifest, schema, where)
+    try:
+        _check_provenance(values["name"], values["alpha"], values["epsilon"])
+    except InvalidInputError as exc:
+        raise ParseError(f"{where}: {exc}") from None
     try:
         values["true_target_marginal"] = LabelMarginal(values["true_target_marginal"])
     except LabelShiftError as exc:

@@ -1,5 +1,7 @@
 import ast
 import concurrent.futures
+import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import labelshift
+from labelshift.bench import RunRecord, read_records
 from labelshift.core import (
     DegenerateEstimateError,
     DimensionError,
@@ -277,6 +280,26 @@ class TestOneCheckedReader:
                             and not calls & {"_read_fields", "RunRecord.from_json_dict"}):
                         found.add((path.name, node.name))
         assert found == self.UNCHECKED
+
+    def test_no_annotation_work_per_value(self, tmp_path, monkeypatch):
+        # A schema resolves each field's type once, on its first read; reading
+        # records after that looks at no annotation, however many records.
+        rows = [RunRecord(task_id=f"t{i}", alpha=[None, 0.5][i % 2], seed=i,
+                          method="source_only", corrections="rs+rw", estimator="mlls",
+                          target_accuracy=0.75, marginal_l1_error=0.1,
+                          true_marginal=(0.5, 0.5), estimated_marginal=(0.45, 0.55),
+                          wall_time_seconds=1.5)
+                for i in range(20)]
+        path = tmp_path / "results.jsonl"
+        path.write_text("".join(json.dumps(r.to_json_dict()) + "\n" for r in rows))
+        assert read_records(path) == rows
+        calls = []
+        for name in ("get_origin", "get_args"):
+            counted = getattr(typing, name)
+            monkeypatch.setattr(typing, name,
+                                lambda kind, f=counted: calls.append(kind) or f(kind))
+        assert read_records(path) == rows
+        assert calls == []
 
 
 class TestImports:

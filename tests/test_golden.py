@@ -16,6 +16,7 @@ change to results regenerates the file, with ``python tests/golden/regen.py``.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
 import sys
@@ -151,15 +152,54 @@ def compute_outputs(work: Path) -> dict:
     return outputs
 
 
+def openblas_core() -> str | None:
+    """The core that numpy's bundled OpenBLAS runs on (it picks one at load
+    time unless OPENBLAS_CORETYPE names it), or None where no bundled
+    library reports one."""
+    root = Path(np.__file__).parent
+    for path in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
+                        *(root / ".dylibs").glob("*openblas*")]):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(lib, name, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def build_info() -> dict:
-    """The numpy version and BLAS build the golden values were made with."""
+    """The numpy version, BLAS build and kernels the golden values were made
+    with. The kernels are the OpenBLAS core in use and numpy's SIMD dispatch
+    targets this CPU enables; either can move estimator fields by an ulp."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_configuration": blas.get("openblas configuration", ""),
+        "openblas_core": openblas_core(),
+        "numpy_simd": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)],
     }
+
+
+def golden_failure(found: str, made_with: dict) -> str:
+    """The message of a golden test that found a difference. It says first
+    where this run's build and kernels differ from the golden file's
+    made_with, then gives the first difference and both signatures."""
+    info = build_info()
+    differ = [f"{key} is {info[key]!r} here, " + (f"{made_with[key]!r} in the golden file"
+                                                  if key in made_with else "not recorded there")
+              for key in info if made_with.get(key) != info[key]]
+    lines = [f"first difference: {found}",
+             f"(golden values made with {made_with}; this run uses {info})"]
+    if differ:
+        lines.insert(0, f"this run's build differs from the golden file's: {'; '.join(differ)}")
+    return "\n".join(lines)
 
 
 def first_difference(golden, actual, where="") -> str | None:
@@ -189,20 +229,16 @@ def test_grid_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text())
     actual = compute_outputs(tmp_path)
     found = first_difference(golden["outputs"], actual, "outputs")
-    made_with = golden["made_with"]
-    assert found is None, (
-        f"first difference: {found}\n(golden values made with {made_with}; "
-        f"this run uses {build_info()})"
-    )
+    assert found is None, golden_failure(found, golden["made_with"])
 
 
 def test_parallel_grid_matches_golden(tmp_path):
     # Two tasks, one of them read from pools, over two alphas: 4 coordinates
     # shared between two workers.
-    golden = json.loads(GOLDEN_PATH.read_text())["outputs"]["mlp"]
+    golden = json.loads(GOLDEN_PATH.read_text())
     actual = grid_outputs(grid_configs(tmp_path)["mlp"], tmp_path / "mlp", jobs=2)
-    found = first_difference(golden, actual, "outputs.mlp")
-    assert found is None, f"first difference: {found}"
+    found = first_difference(golden["outputs"]["mlp"], actual, "outputs.mlp")
+    assert found is None, golden_failure(found, golden["made_with"])
 
 
 def test_every_golden_record_reads_back(tmp_path):

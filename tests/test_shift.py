@@ -369,3 +369,13 @@ class TestPersistence:
             with pytest.raises(ParseError, match=r"manifest\.json: manifest\."
                                r"true_target_marginal\[0\]: expected float"):
                 load_bundle(tmp_path / "b")
+        # Provenance no task is made with: ShiftSpec's alpha and epsilon
+        # checks, and a nonempty name.
+        for key, bad, message in (("alpha", -1.0, "alpha must be positive or None, got -1.0"),
+                                  ("alpha", 0, "alpha must be positive or None, got 0.0"),
+                                  ("epsilon", -2.0, "epsilon must be a nonnegative float"),
+                                  ("epsilon", float("nan"), "epsilon must be a nonnegative float"),
+                                  ("name", "", "task name must be nonempty")):
+            manifest.write_text(json.dumps({**json.loads(data), key: bad}))
+            with pytest.raises(ParseError, match=r"manifest\.json: manifest: " + message):
+                load_bundle(tmp_path / "b")
