@@ -729,9 +729,8 @@ def load_model(path) -> Model:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
     model_fields = ("parameters", "training_log", "loss_log")  # Model's, after spec
-    schema = _schema(ModelSpec, required=("kind", "input_dim", "classes", "hidden_units",
-                                          *model_fields),
-                     **dict.fromkeys(model_fields, tuple[float, ...]))
+    keys = ("kind", "input_dim", "classes", "hidden_units", *model_fields)  # all required
+    schema = _schema(ModelSpec, required=keys, **dict.fromkeys(model_fields, tuple[float, ...]))
     values = _read_fields(payload, schema, f"{path}: model")
     rest = [values.pop(key) for key in model_fields]
     try:

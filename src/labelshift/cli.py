@@ -54,7 +54,6 @@ from labelshift.core import (
     ParseError,
     WorkerDiedError,
     _available_cpus,
-    _cast,
     _caster,
     _check_keys,
     _fork_pays,
@@ -106,7 +105,7 @@ def _parse_corrections(entry, index: int) -> CorrectionFlags:
     if isinstance(entry, dict):
         _check_keys(entry, {"flags", "estimator"}, {"flags"}, where)
         entry, estimator = entry["flags"], entry.get("estimator")
-    return CorrectionFlags.from_label(_cast(_caster(str), entry, where), estimator=estimator)
+    return CorrectionFlags.from_label(_caster(str)(entry, where), estimator=estimator)
 
 
 def load_grid_config(path) -> GridConfig:
@@ -123,7 +122,7 @@ def load_grid_config(path) -> GridConfig:
     _check_keys(doc, _TOP_KEYS, {"tasks"}, str(path))
 
     casters = _schema(GridConfig, _GRID_KEYS)[0]
-    kwargs = {key: _cast(casters[key], doc[key], key) for key in _GRID_KEYS if key in doc}
+    kwargs = {key: casters[key](doc[key], key) for key in _GRID_KEYS if key in doc}
     kwargs["tasks"] = tuple(_parse_task(t, i) for i, t in enumerate(_items(doc["tasks"], "tasks")))
     if "corrections" in doc:
         kwargs["corrections"] = tuple(_parse_corrections(c, i) for i, c

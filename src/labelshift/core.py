@@ -568,30 +568,27 @@ def weights_to_marginal(weights, source_marginal) -> LabelMarginal:
 
 # ---------------------------------------------------------------------------
 # Checked reading of the JSON objects the package reads back: grid configs,
-# results records, bundle manifests and model files. A key's type is the
-# annotation of the dataclass field it sets, and its value must be of that type
-# in JSON already: a number field takes no string, and no field takes a bool.
+# results records, bundle manifests and model files, each by its _schema.
 
 
 @functools.cache
 def _caster(kind):
-    """The function that returns a JSON value as the annotated type kind, or
-    raises a ParseError whose message goes after the value's name, such as
-    "[2]: expected float, got True". None fits only an optional kind. A str
-    takes a string, an int an integer or a float with no fraction, and a float
-    any number that fits a float; none takes a bool. A tuple[X, ...] takes a
-    list, as it is if every item is exactly X, else item by item."""
+    """The function (value, *name) that returns a JSON value as the annotated
+    type kind, or raises a ParseError naming the value by the parts of name,
+    joined only then. None fits only an optional kind. A str takes a string,
+    an int an integer or a float with no fraction, and a float any number that
+    fits a float; none takes a bool. A tuple[X, ...] takes a list, as it is if
+    every item is exactly X, else item by item."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is tuple:
         return functools.partial(_cast_items, args[0], _caster(args[0]))
     if origin in (typing.Union, types.UnionType):
-        (kind,) = [arg for arg in args if arg is not type(None)]
-        cast = _caster(kind)
-        return lambda value: None if value is None else cast(value)
+        (cast,) = [_caster(arg) for arg in args if arg is not type(None)]
+        return lambda value, *name: None if value is None else cast(value, *name)
     return functools.partial(_cast_value, kind)
 
 
-def _cast_value(kind, value):
+def _cast_value(kind, value, *name):
     if type(value) is kind:
         return value
     if kind is int and type(value) is float and value.is_integer():
@@ -599,13 +596,13 @@ def _cast_value(kind, value):
     if kind is float and type(value) is int:
         with suppress(OverflowError):  # an integer too large for a float
             return float(value)
-    raise ParseError(f": expected {kind.__name__}, got {value!r}")
+    raise ParseError(f"{''.join(map(str, name))}: expected {kind.__name__}, got {value!r}")
 
 
-def _cast_items(item, cast, value) -> tuple:
-    if all(type(v) is item for v in _items(value, "")):
+def _cast_items(item, cast, value, *name) -> tuple:
+    if all(type(v) is item for v in _items(value, *name)):
         return tuple(value)
-    return tuple(_cast(cast, v, "[", i, "]") for i, v in enumerate(value))
+    return tuple(cast(v, *name, "[", i, "]") for i, v in enumerate(value))
 
 
 @functools.cache
@@ -628,27 +625,16 @@ def _schema(cls, names: tuple = (), required: tuple | None = None, **more) -> tu
 def _check_keys(obj, allowed, required, where: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
-    unknown = obj.keys() - allowed
-    if unknown:
+    if unknown := obj.keys() - allowed:
         raise ParseError(f"{where}: unknown key {min(unknown)!r}")
-    missing = required.difference(obj)
-    if missing:
+    if missing := required.difference(obj):
         raise ParseError(f"{where}: missing required key {min(missing)!r}")
 
 
-def _items(value, where: str) -> list:
+def _items(value, *name) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list, got {value!r}")
+        raise ParseError(f"{''.join(map(str, name))}: expected a list, got {value!r}")
     return value
-
-
-def _cast(cast, value, *name):
-    """cast(value), or a ParseError naming the value by the parts of name,
-    which are joined only on that failure."""
-    try:
-        return cast(value)
-    except ParseError as exc:
-        raise ParseError("".join(map(str, name)) + str(exc)) from None
 
 
 def _read_fields(obj, schema: tuple, where: str) -> dict:
@@ -657,4 +643,4 @@ def _read_fields(obj, schema: tuple, where: str) -> dict:
     wrong type is a ParseError naming where (and the key)."""
     casters, required = schema
     _check_keys(obj, casters.keys(), required, where)
-    return {key: _cast(casters[key], value, where, ".", key) for key, value in obj.items()}
+    return {key: casters[key](value, where, ".", key) for key, value in obj.items()}
