@@ -347,3 +347,76 @@ class TestLabeledTraps:
         monkeypatch.setattr("labelshift.shift._load_labeled_lines", refuse)
         data = load_labeled_csv(pool(tmp_path, "f0,f1,y\n0.5,-1.25,2\n"))
         assert data.features.tolist() == [[0.5, -1.25]] and data.labels.tolist() == [2]
+
+
+# ---------------------------------------------------------------------------
+# Every message a line parser names, through the public readers.
+
+DUMP_FAULTS = {
+    "empty-file": ("", None, "empty file"),
+    "bad-header": ("q0,q1\n0.5,0.5\n", 1, "header must be p0,...,p{k-1} with optional "
+                                            "trailing y"),
+    "field-count": ("p0,p1\n0.5,0.5\n0.5,0.5,0.1\n", 3, "expected 2 fields, got 3"),
+    "non-numeric": ("p0,p1\n0.5,0.5\n0.5,x\n", 3, "non-numeric probability"),
+    "nan": ("p0,p1\n0.5,0.5\nnan,0.5\n", 3, "non-finite probability"),
+    "inf": ("p0,p1\n0.5,0.5\n0.5,inf\n", 3, "non-finite probability"),
+    "negative": ("p0,p1\n0.5,0.5\n1.5,-0.5\n", 3, "negative probability"),
+    "zero-sum": ("p0,p1\n0.5,0.5\n0,0\n", 3, "probabilities sum to zero"),
+    "sum-off": ("p0,p1\n0.5,0.5\n0.5,0.6\n", 3, "probabilities sum to 1.1; rerun with "
+                                                 "normalization enabled to accept"),
+    "float-label": ("p0,p1,y\n0.5,0.5,1\n0.5,0.5,1.0\n", 3, "non-integer label"),
+    "negative-label": ("p0,p1,y\n0.5,0.5,1\n0.5,0.5,-1\n", 3, "negative label"),
+    "label-beyond-int64": ("p0,p1,y\n0.5,0.5,1\n0.5,0.5,9223372036854775808\n", 3,
+                           "label out of range"),
+    "no-data-rows": ("p0,p1,y\n", None, "no data rows"),
+}
+POOL_FAULTS = {
+    "empty-file": ("", None, "empty file"),
+    "no-y-column": ("f0,f1\n0.5,1\n", None, "header must be f0,...,f{d-1},y"),
+    "misnamed-feature": ("f0,g1,y\n0.5,0.5,1\n", None,
+                         "feature column 1 is named 'g1', expected f1"),
+    "field-count": ("f0,y\n0.5,1\n0.5,1,2\n", 3, "expected 2 fields, got 3"),
+    "blank-line": ("f0,y\n0.5,1\n\n0.5,1\n", 3, "expected 2 fields, got 0"),
+    "bad-float": ("f0,y\n0.5,1\nx,1\n", 3, "could not convert string to float: 'x'"),
+    "bad-int": ("f0,y\n0.5,1\n0.5,z\n", 3, "invalid literal for int() with base 10: 'z'"),
+    "non-finite": ("f0,y\n0.5,1\ninf,1\n", 3, "non-finite feature"),
+    "negative-label": ("f0,y\n0.5,1\n0.5,-1\n", 3, "negative label"),
+    "label-out-of-range": ("f0,y\n0.5,1\n0.5,-9223372036854775809\n", 3,
+                           "label out of range"),
+    "no-data-rows": ("f0,y\n", None, "no data rows"),
+}
+
+
+@pytest.mark.parametrize("kind, fault", [("dump", f) for f in DUMP_FAULTS]
+                         + [("pool", f) for f in POOL_FAULTS])
+def test_every_line_parser_message(tmp_path, kind, fault):
+    text, line, message = (DUMP_FAULTS if kind == "dump" else POOL_FAULTS)[fault]
+    path = (dump if kind == "dump" else pool)(tmp_path, text)
+    read = ingest_predictions if kind == "dump" else load_labeled_csv
+    place = str(path) if line is None else f"{path}:{line}"
+    assert outcome(read, path) == ("ParseError", f"{place}: {message}")
+
+
+def test_numpy_that_casts_float_labels_defers_labeled_bodies(tmp_path, monkeypatch):
+    # numpy releases whose loadtxt casts "3.0" into an int column: a labeled
+    # body must go to the line parser, which refuses such a label.
+    monkeypatch.setattr("labelshift.shift._LOADTXT_STRICT_INTS", False)
+    valid = dump(tmp_path, "p0,p1,y\n0.25,0.75,1\n0.5,0.5,0\n")
+    assert fast_outcome(_ingest_fast, valid, False) is None
+    got = same_as_lines(ingest_predictions, _ingest_lines, valid, False)
+    assert got[2] == np.array([1, 0]).tobytes()
+    path = dump(tmp_path, "p0,p1,y\n0.5,0.5,1\n0.5,0.5,3.0\n")
+    got = same_as_lines(ingest_predictions, _ingest_lines, path, False)
+    assert got == ("ParseError", f"{path}:3: non-integer label")
+    # An unlabeled dump has no integer column, so it still takes one pass.
+    plain = dump(tmp_path, "p0,p1\n0.25,0.75\n")
+    assert fast_outcome(_ingest_fast, plain, False) == outcome(_ingest_lines, plain, False)
+
+    valid = pool(tmp_path, "f0,f1,y\n0.5,-1.25,2\n0.25,1.5,0\n")
+    assert fast_outcome(_load_labeled_fast, valid) is None
+    got = same_as_lines(load_labeled_csv, _load_labeled_lines, valid)
+    assert got == ((2, 2), np.array([[0.5, -1.25], [0.25, 1.5]]).tobytes(),
+                   np.array([2, 0]).tobytes())
+    path = pool(tmp_path, "f0,y\n0.5,1\n0.5,3.0\n")
+    got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
+    assert got == ("ParseError", f"{path}:3: invalid literal for int() with base 10: '3.0'")
