@@ -56,7 +56,7 @@ from labelshift.estimate import ESTIMATORS
 from labelshift.shift import (
     ShiftSpec,
     SynthTaskSpec,
-    _read_numeric_rows,
+    _PREDICTION_DUMP,
     apply_shift_protocol,
     load_labeled_csv,
     synth_relaxed_task,
@@ -181,8 +181,12 @@ class Cell:
             estimator=self.corrections.estimator,
         )
 
+    def __post_init__(self):
+        # Planning and resuming look each cell up by its key several times.
+        object.__setattr__(self, "_key", _cell_key(**self.record_fields()))
+
     def key(self) -> tuple:
-        return _cell_key(**self.record_fields())
+        return self._key
 
 
 # The range of each metric a record may carry, from 0 up to this bound.
@@ -213,6 +217,8 @@ class RunRecord:
     def __post_init__(self):
         """Refuse a record that claims what did not happen, with an
         InvalidInputError whose message begins with the field at fault."""
+        if not self.task_id:
+            raise InvalidInputError(f"task_id: expected a nonempty name, got {self.task_id!r}")
         if self.alpha is not None and not 0.0 < self.alpha < math.inf:
             raise InvalidInputError(f"alpha: expected a positive number or null, "
                                     f"got {self.alpha!r}")
@@ -246,6 +252,9 @@ class RunRecord:
             if marginal is not None and abs(math.fsum(marginal) - 1.0) > SUM_TOLERANCE:
                 raise InvalidInputError(f"{key}: expected entries that sum to 1 within "
                                         f"{SUM_TOLERANCE}, got {list(marginal)}")
+        if self.wall_time_seconds is not None and not 0.0 <= self.wall_time_seconds < math.inf:
+            raise InvalidInputError(f"wall_time_seconds: expected a finite, non-negative "
+                                    f"number or null, got {self.wall_time_seconds!r}")
         if (self.true_marginal is not None and self.estimated_marginal is not None
                 and len(self.true_marginal) != len(self.estimated_marginal)):
             raise InvalidInputError(f"estimated_marginal: expected {len(self.true_marginal)} "
@@ -816,7 +825,9 @@ def write_summary_csv(path, summaries) -> None:
 
 # ---------------------------------------------------------------------------
 # Prediction dumps: the exchange format for externally produced classifier
-# outputs (header p0,...,p{k-1} with an optional trailing y column).
+# outputs (header p0,...,p{k-1} with an optional trailing y column). shift's
+# one reader for numeric CSV tables reads them: each row is checked and
+# divided by its left-to-right sum, and blank lines are skipped.
 
 
 def write_predictions(path, preds: PredictionMatrix, labels=None) -> None:
@@ -843,96 +854,7 @@ def ingest_predictions(path, normalize: bool = False):
     """Parse a prediction dump into (PredictionMatrix, labels or None).
 
     Row sums within 1e-3 of 1 are silently renormalized; larger deviations
-    are an error unless normalize is set. All parse failures carry the
-    offending line number. The body is read in one numpy pass; a file that
-    pass does not take goes to the line parser, which gives the same values
-    and owns every error message.
+    are an error unless normalize is set. Every error names its line; see
+    shift._NumericCsv.
     """
-    path = Path(path)
-    try:
-        return _ingest_fast(path, normalize)
-    except (OSError, ValueError, LabelShiftError):
-        return _ingest_lines(path, normalize)
-
-
-def _dump_columns(path, header: list[str]) -> tuple[int, bool]:
-    """Check a dump header and return (k, whether it has a y column)."""
-    has_labels = bool(header) and header[-1] == "y"
-    prob_cols = header[:-1] if has_labels else header
-    expected = [f"p{j}" for j in range(len(prob_cols))]
-    if len(prob_cols) < 2 or prob_cols != expected:
-        raise ParseError(
-            f"{path}:1: header must be p0,...,p{{k-1}} with optional trailing y"
-        )
-    return len(prob_cols), has_labels
-
-
-def _ingest_fast(path: Path, normalize: bool):
-    """_ingest_lines on whole columns; raises ValueError where a row would fail."""
-    with open(path, newline="") as fh:
-        k, has_labels = _dump_columns(path, next(csv.reader(fh), []))
-        probs, labels = _read_numeric_rows(fh, k, labeled=has_labels, blank_lines=True)
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-        raise ValueError("non-finite or negative probability")
-    total = np.zeros(len(probs))
-    for j in range(k):  # left to right, as _ingest_lines sums each row
-        total += probs[:, j]
-    if np.any(total <= 0) or (not normalize and np.any(np.abs(total - 1.0) > 1e-3)):
-        raise ValueError("row sum out of range")
-    if has_labels and np.any(labels < 0):
-        raise ValueError("negative label")
-    return PredictionMatrix(probs / total[:, None]), labels
-
-
-def _ingest_lines(path: Path, normalize: bool):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        k, has_labels = _dump_columns(path, header)
-        rows = []
-        labels = []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}"
-                )
-            try:
-                probs = [float(v) for v in fields[:k]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric probability") from None
-            if any(not np.isfinite(p) for p in probs):
-                raise ParseError(f"{path}:{lineno}: non-finite probability")
-            if any(p < 0 for p in probs):
-                raise ParseError(f"{path}:{lineno}: negative probability")
-            # An explicit left-to-right sum: from Python 3.12 on, sum() of
-            # floats is compensated and would normalize rows differently.
-            total = 0.0
-            for p in probs:
-                total += p
-            if total <= 0:
-                raise ParseError(f"{path}:{lineno}: probabilities sum to zero")
-            if abs(total - 1.0) > 1e-3 and not normalize:
-                raise ParseError(
-                    f"{path}:{lineno}: probabilities sum to {total!r}; rerun with "
-                    "normalization enabled to accept"
-                )
-            rows.append([p / total for p in probs])
-            if has_labels:
-                try:
-                    label = int(fields[-1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-integer label") from None
-                if label < 0:
-                    raise ParseError(f"{path}:{lineno}: negative label")
-                if label >= 2**63:
-                    raise ParseError(f"{path}:{lineno}: label out of range")
-                labels.append(label)
-        if not rows:
-            raise ParseError(f"{path}: no data rows")
-    matrix = PredictionMatrix(np.asarray(rows, dtype=np.float64))
-    return matrix, (np.asarray(labels, dtype=np.int64) if has_labels else None)
+    return _PREDICTION_DUMP.read(path, normalize)

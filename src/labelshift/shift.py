@@ -16,9 +16,11 @@ import csv
 import itertools
 import json
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
+from functools import partialmethod, reduce
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +354,10 @@ def synth_relaxed_task(task: SynthTaskSpec, shift: ShiftSpec) -> TaskBundle:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: labeled CSVs and bundle directories.
+# Persistence: numeric CSV tables and bundle directories. Labeled CSVs and
+# prediction dumps share one reader, _NumericCsv: one np.loadtxt pass, one
+# line parser and the fallback between them. Each kind keeps its own header,
+# row and blank-line rules: a dump skips blank lines, a labeled CSV refuses one.
 
 _HEADER_RE = re.compile(r"^f(\d+)$")
 # The TaskBundle fields manifest.json holds, in the order it writes them.
@@ -370,12 +375,8 @@ def save_labeled_csv(path, data: LabeledSet) -> None:
 
 
 def _loadtxt_rejects_float_ints() -> bool:
-    """Whether numpy's loadtxt refuses "3.0" in an integer column, as int() does.
-
-    numpy releases that still cast such a field (with a DeprecationWarning)
-    would accept labels the line parsers reject, so labeled bodies skip the
-    one-pass reader there.
-    """
+    """Whether loadtxt refuses "3.0" in an integer column, as int() does;
+    where it casts it, labeled bodies skip the fast pass."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -388,19 +389,79 @@ def _loadtxt_rejects_float_ints() -> bool:
 _LOADTXT_STRICT_INTS = _loadtxt_rejects_float_ints()
 
 
-def _read_numeric_rows(fh, width: int, labeled: bool, blank_lines: bool):
-    """Read the rest of an open CSV with one np.loadtxt pass.
+class _NumericCsv:
+    """One kind of numeric CSV table. columns(path, header) checks the header
+    and returns (width, labeled). row(values, label, *options) parses one
+    row's fields (label is None without a y column), or raises ValueError
+    with its first fault's message. finish(values, labels, *options) makes
+    the result from read-only columns, and raises ValueError or
+    LabelShiftError wherever row would. skip_blank skips blank lines, else
+    each is a row of 0 fields."""
 
-    Returns (values, labels): a C-contiguous (n, width) float64 array and,
-    when labeled, the trailing column as int64 (otherwise None), both
-    read-only so that a LabeledSet adopts them without a copy. Raises
-    ValueError for any body it may not read exactly as csv.reader with
-    float()/int() would, so that the caller runs its line parser instead.
-    numpy gets the lines the file iterator splits, as csv.reader does, and
-    fails on quoted fields, whitespace-only lines, "#" and literals such as
-    1_0.5. Empty lines are skipped when blank_lines is set, else they defer.
-    """
-    lines = _nonempty_lines(fh, blank_lines)
+    def __init__(self, columns, row, finish, skip_blank: bool):
+        self.columns, self.row, self.finish = columns, row, finish
+        self.skip_blank = skip_blank
+
+    def read(self, path, *options):
+        """The fast pass's result, or the line parser's where the fast pass fails."""
+        try:
+            return self.fast(path, *options)
+        except (OSError, ValueError, LabelShiftError):
+            return self.lines(path, *options)
+
+    def _read(self, fast: bool, path, *options):
+        path = Path(path)
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            width, labeled = self.columns(path, header)
+            if fast:
+                return self.finish(*_loadtxt_rows(fh, width, labeled, self.skip_blank), *options)
+            rows, labels = [], []
+            for lineno, fields in enumerate(reader, start=2):
+                if not fields and self.skip_blank:
+                    continue
+                if len(fields) != len(header):
+                    raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, "
+                                     f"got {len(fields)}")
+                try:
+                    values, label = self.row(fields[:width], fields[width] if labeled else None,
+                                             *options)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                rows.append(values)
+                labels.append(label)
+        if not rows:
+            raise ParseError(f"{path}: no data rows")
+        labels = _sealed(np.array(labels, dtype=np.int64)) if labeled else None
+        return self.finish(_sealed(np.array(rows, dtype=np.float64)), labels, *options)
+
+    # The np.loadtxt pass, which raises ValueError where a row would fail, and
+    # the line parser, which gives the same values and owns every message.
+    fast = partialmethod(_read, True)
+    lines = partialmethod(_read, False)
+
+
+def _loadtxt_rows(fh, width: int, labeled: bool, skip_blank: bool):
+    """The rest of an open CSV in one np.loadtxt pass: a C-contiguous (n,
+    width) float64 array and, when labeled, the trailing column as int64
+    (else None), both read-only so that a LabeledSet adopts them without a
+    copy. Raises ValueError for any body it may not read exactly as
+    csv.reader with float()/int() would. numpy gets the lines the file
+    iterator splits, as csv.reader does, and fails on quoted fields,
+    whitespace-only lines, "#" and literals such as 1_0.5. Empty lines are
+    skipped when skip_blank is set, else they defer."""
+    def nonempty_lines():
+        for line in fh:
+            if line in ("\n", "\r\n", "\r"):  # csv.reader yields [] for these
+                if not skip_blank:
+                    raise ValueError("blank line")
+                continue
+            yield line
+
+    lines = nonempty_lines()
     first = next(lines, None)
     if first is None:
         # Checked here because loadtxt would warn "input contained no data".
@@ -414,75 +475,90 @@ def _read_numeric_rows(fh, width: int, labeled: bool, blank_lines: bool):
     return _sealed(np.ascontiguousarray(table["v"])), labels
 
 
-def _nonempty_lines(fh, blank_lines: bool):
-    for line in fh:
-        if line in ("\n", "\r\n", "\r"):  # csv.reader yields [] for these
-            if not blank_lines:
-                raise ValueError("blank line")
-            continue
-        yield line
-
-
-def _labeled_columns(path, header: list[str]) -> int:
-    """Check a labeled CSV header and return its feature count d."""
+def _labeled_columns(path, header: list[str]) -> tuple[int, bool]:
+    """Check a labeled CSV header; its feature count d, and True for y."""
     if len(header) < 2 or header[-1] != "y":
         raise ParseError(f"{path}: header must be f0,...,f{{d-1}},y")
     for j, col in enumerate(header[:-1]):
         m = _HEADER_RE.match(col)
         if not m or int(m.group(1)) != j:
             raise ParseError(f"{path}: feature column {j} is named {col!r}, expected f{j}")
-    return len(header) - 1
+    return len(header) - 1, True
+
+
+def _labeled_row(features: list[str], label: str):
+    features = [float(v) for v in features]
+    label = int(label)
+    if not all(map(math.isfinite, features)):
+        raise ValueError("non-finite feature")
+    if not -2**63 <= label < 2**63:
+        raise ValueError("label out of range")
+    if label < 0:
+        raise ValueError("negative label")
+    return features, label
+
+
+# LabeledSet refuses a non-finite feature or a negative label.
+_LABELED_CSV = _NumericCsv(_labeled_columns, _labeled_row, LabeledSet, skip_blank=False)
+
+
+def _dump_columns(path, header: list[str]) -> tuple[int, bool]:
+    """Check a dump header and return (k, whether it has a y column)."""
+    has_labels = bool(header) and header[-1] == "y"
+    prob_cols = header[:-1] if has_labels else header
+    if len(prob_cols) < 2 or prob_cols != [f"p{j}" for j in range(len(prob_cols))]:
+        raise ParseError(f"{path}:1: header must be p0,...,p{{k-1}} with optional trailing y")
+    return len(prob_cols), has_labels
+
+
+def _dump_row(probs: list[str], label: str | None, normalize: bool):
+    try:
+        probs = [float(v) for v in probs]
+    except ValueError:
+        raise ValueError("non-numeric probability") from None
+    if not all(map(math.isfinite, probs)):
+        raise ValueError("non-finite probability")
+    if any(p < 0 for p in probs):
+        raise ValueError("negative probability")
+    # An explicit left-to-right sum: from Python 3.12 on, sum() of floats is
+    # compensated and would normalize rows differently.
+    total = reduce(operator.add, probs)
+    if total <= 0:
+        raise ValueError("probabilities sum to zero")
+    if abs(total - 1.0) > 1e-3 and not normalize:
+        raise ValueError(f"probabilities sum to {total!r}; rerun with normalization "
+                         "enabled to accept")
+    if label is not None:
+        try:
+            label = int(label)
+        except ValueError:
+            raise ValueError("non-integer label") from None
+        if label < 0:
+            raise ValueError("negative label")
+        if label >= 2**63:
+            raise ValueError("label out of range")
+    return probs, label
+
+
+def _dump_finish(probs: np.ndarray, labels, normalize: bool):
+    """Each row divided by its left-to-right sum, as _dump_row sums it."""
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise ValueError("non-finite or negative probability")
+    total = reduce(operator.add, probs.T)
+    if np.any(total <= 0) or (not normalize and np.any(np.abs(total - 1.0) > 1e-3)):
+        raise ValueError("row sum out of range")
+    if labels is not None and np.any(labels < 0):
+        raise ValueError("negative label")
+    return PredictionMatrix(probs / total[:, None]), labels
+
+
+_PREDICTION_DUMP = _NumericCsv(_dump_columns, _dump_row, _dump_finish, skip_blank=True)
 
 
 def load_labeled_csv(path) -> LabeledSet:
-    """Read a labeled CSV with header f0,...,f{d-1},y.
-
-    The body is read in one numpy pass; a file that pass does not take goes
-    to the line parser, which gives the same values and reports every error
-    with its line number.
-    """
-    path = Path(path)
-    try:
-        return _load_labeled_fast(path)
-    except (OSError, ValueError, LabelShiftError):
-        return _load_labeled_lines(path)
-
-
-def _load_labeled_fast(path: Path) -> LabeledSet:
-    with open(path, newline="") as fh:
-        d = _labeled_columns(path, next(csv.reader(fh), []))
-        features, labels = _read_numeric_rows(fh, d, labeled=True, blank_lines=False)
-    return LabeledSet(features, labels)
-
-
-def _load_labeled_lines(path: Path) -> LabeledSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        d = _labeled_columns(path, header)
-        features, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise ParseError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row[:-1]]
-                label = int(row[-1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError(f"{path}:{lineno}: non-finite feature")
-            if not -2**63 <= label < 2**63:
-                raise ParseError(f"{path}:{lineno}: label out of range")
-            if label < 0:
-                raise ParseError(f"{path}:{lineno}: negative label")
-            features.append(values)
-            labels.append(label)
-    if not labels:
-        raise ParseError(f"{path}: no data rows")
-    return LabeledSet(_sealed(np.array(features)), _sealed(np.array(labels, dtype=np.int64)))
+    """Read a labeled CSV with header f0,...,f{d-1},y. Every error names its
+    line; see _NumericCsv."""
+    return _LABELED_CSV.read(path)
 
 
 def save_bundle(bundle: TaskBundle, directory) -> None:

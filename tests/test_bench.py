@@ -297,6 +297,19 @@ class TestRunGrid:
         assert path.read_text() == before
         assert [r.key() for r in second] == [r.key() for r in first]
 
+    def test_noop_resume_labels_each_cell_at_most_twice(self, tmp_path, monkeypatch):
+        # Planning computes each cell's key, and so its correction label,
+        # once; the other call is the read-back record's own check.
+        cfg = tiny_grid(tmp_path)
+        run_grid(cfg)
+        planned = len(plan_cells(cfg))
+        calls = []
+        label = CorrectionFlags.label
+        monkeypatch.setattr(CorrectionFlags, "label",
+                            lambda flags: calls.append(flags) or label(flags))
+        run_grid(cfg, resume=True)
+        assert 0 < len(calls) <= 2 * planned
+
     def test_resume_fills_only_missing_cells(self, tmp_path):
         small = tiny_grid(tmp_path, alphas=(None,))
         run_grid(small)
@@ -790,6 +803,9 @@ class TestRecordIO:
         ({"corrections": "none+rs"}, "record.corrections: "),
         ({"corrections": "rw", "estimator": "oracle"}, "record.estimator: "),
         ({"alpha": 10**400}, "record.alpha: "),
+        ({"wall_time_seconds": math.nan}, "record.wall_time_seconds: "),
+        ({"wall_time_seconds": -1.0}, "record.wall_time_seconds: "),
+        ({"task_id": ""}, "record.task_id: "),
     ], ids=["list", "null-seed", "string-seed", "fractional-seed", "bool-alpha",
             "number-marginal", "string-in-marginal", "number-task-id", "null-method",
             "nan-accuracy", "accuracy-above-one", "negative-accuracy", "infinite-val-accuracy",
@@ -799,7 +815,8 @@ class TestRecordIO:
             "error-with-marginal", "success-without-accuracy", "string-alpha",
             "padded-string-seed", "string-accuracy", "unknown-method",
             "unknown-correction-token", "unordered-corrections", "none-with-corrections",
-            "unknown-estimator", "alpha-too-large-for-a-float"])
+            "unknown-estimator", "alpha-too-large-for-a-float", "nan-wall-time",
+            "negative-wall-time", "empty-task-id"])
     def test_bad_line_names_its_place_and_field(self, tmp_path, capsys, line, where):
         if isinstance(line, dict):
             line = {**baseline().to_json_dict(), **line}

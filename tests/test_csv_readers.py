@@ -14,9 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelshift.bench import _ingest_fast, _ingest_lines, ingest_predictions
+from labelshift.bench import ingest_predictions
 from labelshift.core import LabelShiftError, ParseError, PredictionMatrix
-from labelshift.shift import _load_labeled_fast, _load_labeled_lines, load_labeled_csv
+from labelshift.shift import _LABELED_CSV, _PREDICTION_DUMP, load_labeled_csv
+
+# The one reader's fast pass and line parser, for each kind.
+_ingest_fast, _ingest_lines = _PREDICTION_DUMP.fast, _PREDICTION_DUMP.lines
+_load_labeled_fast, _load_labeled_lines = _LABELED_CSV.fast, _LABELED_CSV.lines
 
 FLOAT_FORMATS = {
     "repr": repr,
@@ -269,7 +273,7 @@ class TestDumpTraps:
         def refuse(*args):
             raise AssertionError("line parser called")
 
-        monkeypatch.setattr("labelshift.bench._ingest_lines", refuse)
+        monkeypatch.setattr(_PREDICTION_DUMP, "lines", refuse)
         matrix, labels = ingest_predictions(dump(tmp_path, "p0,p1,y\n0.25,0.75,1\n"))
         assert matrix.values.tolist() == [[0.25, 0.75]] and labels.tolist() == [1]
 
@@ -344,7 +348,7 @@ class TestLabeledTraps:
         def refuse(*args):
             raise AssertionError("line parser called")
 
-        monkeypatch.setattr("labelshift.shift._load_labeled_lines", refuse)
+        monkeypatch.setattr(_LABELED_CSV, "lines", refuse)
         data = load_labeled_csv(pool(tmp_path, "f0,f1,y\n0.5,-1.25,2\n"))
         assert data.features.tolist() == [[0.5, -1.25]] and data.labels.tolist() == [2]
 
