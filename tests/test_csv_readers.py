@@ -1,10 +1,14 @@
-"""The one-pass numpy readers for prediction dumps and labeled CSVs.
+"""The one reader for numeric CSV tables: prediction dumps and labeled CSVs.
 
-ingest_predictions and load_labeled_csv read a file's body with one
-np.loadtxt call and fall back to the line-by-line parsers for anything that
-pass does not take. These tests pin that both paths give byte-identical
-arrays, and that every fallback case gives the line parser's result or its
-ParseError (same message, same line number) without raising a warning.
+ingest_predictions and load_labeled_csv both go through shift._NumericCsv,
+which reads a file's body with one np.loadtxt pass and falls back to one
+line parser for anything that pass does not take. The reader owns the
+empty-file, field-count and no-data-rows errors; each kind keeps its header,
+row and blank-line rules (dumps skip blank lines, labeled CSVs refuse them).
+These tests pin that both passes give byte-identical arrays, that every
+fallback case gives the line parser's result or its ParseError (same message,
+same line number) without raising a warning, and every message the line
+parser names for each kind.
 """
 
 import warnings
