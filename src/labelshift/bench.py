@@ -825,9 +825,7 @@ def write_summary_csv(path, summaries) -> None:
 
 # ---------------------------------------------------------------------------
 # Prediction dumps: the exchange format for externally produced classifier
-# outputs (header p0,...,p{k-1} with an optional trailing y column). shift's
-# one reader for numeric CSV tables reads them: each row is checked and
-# divided by its left-to-right sum, and blank lines are skipped.
+# outputs. shift._PREDICTION_DUMP owns the format; it writes and reads them.
 
 
 def write_predictions(path, preds: PredictionMatrix, labels=None) -> None:
@@ -837,17 +835,7 @@ def write_predictions(path, preds: PredictionMatrix, labels=None) -> None:
             raise DimensionError(
                 f"labels have shape {labels.shape}, predictions have {preds.n} rows"
             )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"p{j}" for j in range(preds.k)]
-        if labels is not None:
-            header.append("y")
-        writer.writerow(header)
-        for i, row in enumerate(preds.values):
-            fields = [repr(float(v)) for v in row]
-            if labels is not None:
-                fields.append(int(labels[i]))
-            writer.writerow(fields)
+    _PREDICTION_DUMP.write(path, preds.values, labels)
 
 
 def ingest_predictions(path, normalize: bool = False):

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import operator
-import re
 import warnings
 from dataclasses import dataclass
 from functools import partialmethod, reduce
@@ -354,12 +353,9 @@ def synth_relaxed_task(task: SynthTaskSpec, shift: ShiftSpec) -> TaskBundle:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: numeric CSV tables and bundle directories. Labeled CSVs and
-# prediction dumps share one reader, _NumericCsv: one np.loadtxt pass, one
-# line parser and the fallback between them. Each kind keeps its own header,
-# row and blank-line rules: a dump skips blank lines, a labeled CSV refuses one.
+# Persistence: numeric CSV tables and bundle directories. One _NumericCsv per
+# kind of table (labeled CSVs, prediction dumps) writes that kind and reads it.
 
-_HEADER_RE = re.compile(r"^f(\d+)$")
 # The TaskBundle fields manifest.json holds, in the order it writes them.
 _MANIFEST_KEYS = ("name", "k", "d", "alpha", "epsilon", "seed", "true_target_marginal")
 
@@ -367,11 +363,7 @@ _MANIFEST_KEYS = ("name", "k", "d", "alpha", "epsilon", "seed", "true_target_mar
 def save_labeled_csv(path, data: LabeledSet) -> None:
     """Write a labeled set as CSV with header f0,...,f{d-1},y; floats use the
     shortest exact representation so round-trips are lossless."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{j}" for j in range(data.d)] + ["y"])
-        for row, y in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(y)])
+    _LABELED_CSV.write(path, data.features, data.labels)
 
 
 def _loadtxt_rejects_float_ints() -> bool:
@@ -390,17 +382,28 @@ _LOADTXT_STRICT_INTS = _loadtxt_rejects_float_ints()
 
 
 class _NumericCsv:
-    """One kind of numeric CSV table. columns(path, header) checks the header
-    and returns (width, labeled). row(values, label, *options) parses one
-    row's fields (label is None without a y column), or raises ValueError
-    with its first fault's message. finish(values, labels, *options) makes
-    the result from read-only columns, and raises ValueError or
-    LabelShiftError wherever row would. skip_blank skips blank lines, else
-    each is a row of 0 fields."""
+    """One kind of numeric CSV table: value columns prefix0, prefix1, ... and
+    an optional label column y. columns(path, header) checks the header and
+    returns (width, labeled). row(values, label, *options) parses one row's
+    fields (label is None without a y column), or raises ValueError with its
+    first fault's message. finish(values, labels, *options) makes the result
+    from read-only columns, and raises ValueError or LabelShiftError wherever
+    row would. skip_blank skips blank lines, else each is a row of 0 fields."""
 
-    def __init__(self, columns, row, finish, skip_blank: bool):
-        self.columns, self.row, self.finish = columns, row, finish
+    def __init__(self, prefix: str, columns, row, finish, skip_blank: bool):
+        self.prefix, self.columns, self.row, self.finish = prefix, columns, row, finish
         self.skip_blank = skip_blank
+
+    def write(self, path, values: np.ndarray, labels: np.ndarray | None = None) -> None:
+        """The header this kind reads, then per row the repr of each float and
+        int of its label. Lines end in CRLF, as csv.writer ends them."""
+        header = [f"{self.prefix}{j}" for j in range(values.shape[1])]
+        rows = (",".join(map(repr, row.tolist())) for row in values)
+        if labels is not None:
+            header.append("y")
+            rows = (f"{row},{int(y)}" for row, y in zip(rows, labels.tolist()))
+        with open(path, "w", newline="") as fh:
+            fh.writelines(line + "\r\n" for line in itertools.chain([",".join(header)], rows))
 
     def read(self, path, *options):
         """The fast pass's result, or the line parser's where the fast pass fails."""
@@ -413,28 +416,32 @@ class _NumericCsv:
         path = Path(path)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            width, labeled = self.columns(path, header)
-            if fast:
-                return self.finish(*_loadtxt_rows(fh, width, labeled, self.skip_blank), *options)
-            rows, labels = [], []
-            for lineno, fields in enumerate(reader, start=2):
-                if not fields and self.skip_blank:
-                    continue
-                if len(fields) != len(header):
-                    raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, "
-                                     f"got {len(fields)}")
-                try:
-                    values, label = self.row(fields[:width], fields[width] if labeled else None,
-                                             *options)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
-                rows.append(values)
-                labels.append(label)
-        if not rows:
+            parsed = []
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise ParseError(f"{path}: empty file")
+                width, labeled = self.columns(path, header)
+                if fast:
+                    return self.finish(*_loadtxt_rows(fh, width, labeled, self.skip_blank),
+                                       *options)
+                for lineno, fields in enumerate(reader, start=2):
+                    if not fields and self.skip_blank:
+                        continue
+                    try:
+                        if len(fields) != len(header):
+                            raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+                        parsed.append(self.row(fields[:width], fields[width] if labeled else None,
+                                               *options))
+                    except ValueError as exc:
+                        raise ParseError(f"{path}:{lineno}: {exc}") from None
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # A decoding fault is in a block of the file, not at a line.
+                line = "" if isinstance(exc, UnicodeDecodeError) else f":{reader.line_num}"
+                raise ParseError(f"{path}{line}: {exc}") from None
+        if not parsed:
             raise ParseError(f"{path}: no data rows")
+        rows, labels = zip(*parsed)
         labels = _sealed(np.array(labels, dtype=np.int64)) if labeled else None
         return self.finish(_sealed(np.array(rows, dtype=np.float64)), labels, *options)
 
@@ -480,8 +487,7 @@ def _labeled_columns(path, header: list[str]) -> tuple[int, bool]:
     if len(header) < 2 or header[-1] != "y":
         raise ParseError(f"{path}: header must be f0,...,f{{d-1}},y")
     for j, col in enumerate(header[:-1]):
-        m = _HEADER_RE.match(col)
-        if not m or int(m.group(1)) != j:
+        if col != f"f{j}":
             raise ParseError(f"{path}: feature column {j} is named {col!r}, expected f{j}")
     return len(header) - 1, True
 
@@ -499,7 +505,7 @@ def _labeled_row(features: list[str], label: str):
 
 
 # LabeledSet refuses a non-finite feature or a negative label.
-_LABELED_CSV = _NumericCsv(_labeled_columns, _labeled_row, LabeledSet, skip_blank=False)
+_LABELED_CSV = _NumericCsv("f", _labeled_columns, _labeled_row, LabeledSet, skip_blank=False)
 
 
 def _dump_columns(path, header: list[str]) -> tuple[int, bool]:
@@ -523,6 +529,8 @@ def _dump_row(probs: list[str], label: str | None, normalize: bool):
     # An explicit left-to-right sum: from Python 3.12 on, sum() of floats is
     # compensated and would normalize rows differently.
     total = reduce(operator.add, probs)
+    if not math.isfinite(total):
+        raise ValueError("probabilities sum to inf")
     if total <= 0:
         raise ValueError("probabilities sum to zero")
     if abs(total - 1.0) > 1e-3 and not normalize:
@@ -541,18 +549,21 @@ def _dump_row(probs: list[str], label: str | None, normalize: bool):
 
 
 def _dump_finish(probs: np.ndarray, labels, normalize: bool):
-    """Each row divided by its left-to-right sum, as _dump_row sums it."""
+    """Each row divided by its left-to-right sum, as _dump_row sums it. A sum
+    that overflows defers to _dump_row, which names its line."""
     if not np.all(np.isfinite(probs)) or np.any(probs < 0):
         raise ValueError("non-finite or negative probability")
-    total = reduce(operator.add, probs.T)
-    if np.any(total <= 0) or (not normalize and np.any(np.abs(total - 1.0) > 1e-3)):
+    with np.errstate(over="ignore"):
+        total = reduce(operator.add, probs.T)
+    if not np.all((0 < total) & (total < np.inf)) or (
+            not normalize and np.any(np.abs(total - 1.0) > 1e-3)):
         raise ValueError("row sum out of range")
     if labels is not None and np.any(labels < 0):
         raise ValueError("negative label")
     return PredictionMatrix(probs / total[:, None]), labels
 
 
-_PREDICTION_DUMP = _NumericCsv(_dump_columns, _dump_row, _dump_finish, skip_blank=True)
+_PREDICTION_DUMP = _NumericCsv("p", _dump_columns, _dump_row, _dump_finish, skip_blank=True)
 
 
 def load_labeled_csv(path) -> LabeledSet:

@@ -8,9 +8,11 @@ row and blank-line rules (dumps skip blank lines, labeled CSVs refuse them).
 These tests pin that both passes give byte-identical arrays, that every
 fallback case gives the line parser's result or its ParseError (same message,
 same line number) without raising a warning, and every message the line
-parser names for each kind.
+parser names for each kind. The writers are pinned to the bytes of the
+csv.writer loops they replaced, which are kept here as the reference.
 """
 
+import csv
 import warnings
 
 import numpy as np
@@ -18,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelshift.bench import ingest_predictions
-from labelshift.core import LabelShiftError, ParseError, PredictionMatrix
-from labelshift.shift import _LABELED_CSV, _PREDICTION_DUMP, load_labeled_csv
+from labelshift.bench import ingest_predictions, write_predictions
+from labelshift.cli import main
+from labelshift.core import LabeledSet, LabelShiftError, ParseError, PredictionMatrix
+from labelshift.shift import _LABELED_CSV, _PREDICTION_DUMP, load_labeled_csv, save_labeled_csv
 
 # The one reader's fast pass and line parser, for each kind.
 _ingest_fast, _ingest_lines = _PREDICTION_DUMP.fast, _PREDICTION_DUMP.lines
@@ -186,16 +189,21 @@ def same_as_lines(public, lines, path, *args):
     return got
 
 
-def dump(tmp_path, text):
-    path = tmp_path / "preds.csv"
-    path.write_text(text, newline="")
+def write_file(path, text):
+    """Write text as it is, or bytes, which may not be UTF-8."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, newline="")
     return path
+
+
+def dump(tmp_path, text):
+    return write_file(tmp_path / "preds.csv", text)
 
 
 def pool(tmp_path, text):
-    path = tmp_path / "pool.csv"
-    path.write_text(text, newline="")
-    return path
+    return write_file(tmp_path / "pool.csv", text)
 
 
 class TestDumpTraps:
@@ -377,6 +385,11 @@ DUMP_FAULTS = {
     "label-beyond-int64": ("p0,p1,y\n0.5,0.5,1\n0.5,0.5,9223372036854775808\n", 3,
                            "label out of range"),
     "no-data-rows": ("p0,p1,y\n", None, "no data rows"),
+    "overflow": ("p0,p1\n0.5,0.5\n1e308,1e308\n", 3, "probabilities sum to inf"),
+    "field-limit": ("p0,p1\n0.5,0.5\n0.5," + "x" * 131073 + "\n", 3,
+                    "field larger than field limit (131072)"),
+    "not-utf8": (b"p0,p1\n0.5,0.5\n0.5,\xff\n", None,
+                 "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
 }
 POOL_FAULTS = {
     "empty-file": ("", None, "empty file"),
@@ -392,6 +405,14 @@ POOL_FAULTS = {
     "label-out-of-range": ("f0,y\n0.5,1\n0.5,-9223372036854775809\n", 3,
                            "label out of range"),
     "no-data-rows": ("f0,y\n", None, "no data rows"),
+    "field-limit": ("f0,y\n0.5,1\n" + "x" * 131073 + ",1\n", 3,
+                    "field larger than field limit (131072)"),
+    "not-utf8": (b"f0,y\n0.5,1\n\xff,1\n", None,
+                 "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    "zero-padded-feature": ("f0,f01,y\n0.5,0.5,1\n", None,
+                            "feature column 1 is named 'f01', expected f1"),
+    "newline-in-feature": ('f0,"f1\n",y\n0.5,0.5,1\n', None,
+                           "feature column 1 is named 'f1\\n', expected f1"),
 }
 
 
@@ -403,6 +424,28 @@ def test_every_line_parser_message(tmp_path, kind, fault):
     read = ingest_predictions if kind == "dump" else load_labeled_csv
     place = str(path) if line is None else f"{path}:{line}"
     assert outcome(read, path) == ("ParseError", f"{place}: {message}")
+
+
+def test_overflowing_sum_is_refused_with_normalize(tmp_path):
+    path = dump(tmp_path, DUMP_FAULTS["overflow"][0])
+    assert outcome(ingest_predictions, path, True) == (
+        "ParseError", f"{path}:3: probabilities sum to inf")
+
+
+@pytest.mark.parametrize("fault, flags", [pytest.param(f, [], id=f) for f in DUMP_FAULTS]
+                         + [pytest.param("overflow", ["--normalize"], id="overflow-normalize")])
+def test_estimate_names_every_dump_fault_in_one_line(tmp_path, capsys, fault, flags):
+    source = tmp_path / "source.csv"
+    write_predictions(source, PredictionMatrix(np.array([[0.75, 0.25], [0.25, 0.75]])),
+                      labels=[0, 1])
+    text, line, message = DUMP_FAULTS[fault]
+    target = dump(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", "--source", str(source), "--target", str(target), *flags])
+    captured = capsys.readouterr()
+    place = str(target) if line is None else f"{target}:{line}"
+    assert (code, captured.out, captured.err) == (1, "", f"error: {place}: {message}\n")
 
 
 def test_numpy_that_casts_float_labels_defers_labeled_bodies(tmp_path, monkeypatch):
@@ -428,3 +471,78 @@ def test_numpy_that_casts_float_labels_defers_labeled_bodies(tmp_path, monkeypat
     path = pool(tmp_path, "f0,y\n0.5,1\n0.5,3.0\n")
     got = same_as_lines(load_labeled_csv, _load_labeled_lines, path)
     assert got == ("ParseError", f"{path}:3: invalid literal for int() with base 10: '3.0'")
+
+
+# ---------------------------------------------------------------------------
+# The writers: _NumericCsv.write gives the bytes of the csv.writer loops it
+# replaced, kept here as the reference implementation.
+
+
+def reference_save_labeled_csv(path, data):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{j}" for j in range(data.d)] + ["y"])
+        for row, y in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(y)])
+
+
+def reference_write_predictions(path, preds, labels=None):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = [f"p{j}" for j in range(preds.k)]
+        if labels is not None:
+            header.append("y")
+        writer.writerow(header)
+        for i, row in enumerate(preds.values):
+            fields = [repr(float(v)) for v in row]
+            if labels is not None:
+                fields.append(int(labels[i]))
+            writer.writerow(fields)
+
+
+TINY = [-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+FEATURES = st.one_of(st.sampled_from(TINY + [1e308, -1e308, -5e-324]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+LABELS = st.one_of(st.sampled_from([0, 1, 2**31, 2**53 + 1, 2**63 - 1]),
+                   st.integers(0, 2**63 - 1))
+
+
+@given(data=st.data(), n=st.integers(1, 6), d=st.sampled_from([1, 2, 7]))
+@settings(max_examples=150, deadline=None)
+def test_labeled_writer_bytes_and_round_trip(tmp_path_factory, data, n, d):
+    features = np.array(data.draw(st.lists(st.lists(FEATURES, min_size=d, max_size=d),
+                                           min_size=n, max_size=n)), dtype=np.float64)
+    labels = np.array(data.draw(st.lists(LABELS, min_size=n, max_size=n)), dtype=np.int64)
+    labeled = LabeledSet(features, labels)
+    directory = tmp_path_factory.mktemp("writer")
+    save_labeled_csv(directory / "got.csv", labeled)
+    reference_save_labeled_csv(directory / "want.csv", labeled)
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+    back = load_labeled_csv(directory / "got.csv")
+    assert back.features.tobytes() == features.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
+
+
+@given(data=st.data(), n=st.integers(1, 6), k=st.sampled_from([2, 3, 50]),
+       label_dtype=st.sampled_from([None, np.int64, np.float64]))
+@settings(max_examples=150, deadline=None)
+def test_dump_writer_bytes(tmp_path_factory, data, n, k, label_dtype):
+    # Rows of positive mass that sum to 1, with -0.0 and subnormal entries
+    # placed after the division so that they are written as they are.
+    entry = st.one_of(st.sampled_from(TINY), st.floats(1e-3, 1.0))
+    rows = []
+    for row in data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                  min_size=n, max_size=n)):
+        if not any(v >= 1e-3 for v in row):
+            row[0] = 1.0
+        mass = sum(v for v in row if v >= 1e-3)
+        rows.append([v / mass if v >= 1e-3 else v for v in row])
+    preds = PredictionMatrix(np.array(rows))
+    labels = None
+    if label_dtype is not None:
+        labels = np.array(data.draw(st.lists(LABELS, min_size=n, max_size=n)),
+                          dtype=label_dtype)
+    directory = tmp_path_factory.mktemp("writer")
+    write_predictions(directory / "got.csv", preds, labels)
+    reference_write_predictions(directory / "want.csv", preds, labels)
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
